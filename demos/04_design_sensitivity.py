@@ -13,7 +13,7 @@ one big pool under complete randomization.
 import numpy as np
 
 from stratperm.hypothesis_tests import METHODS, TrialData
-from stratperm.randomization import PermutationPlan, derive_stream, sample_assignment
+from stratperm.randomization import PermutationPlan, derive_stream, sample_assignments
 from stratperm.simulation import ScenarioConfig, generate_population
 
 config = ScenarioConfig(
@@ -31,7 +31,7 @@ rejections = {"stratified": 0, "pooled": 0}
 for i in range(REPS):
     stream = derive_stream(config.master_seed, i)
     pop = generate_population(config, stream)
-    z = sample_assignment(config.layout, stream)
+    z = sample_assignments(config.layout, stream, 1)[0]
     y = np.where(z == 1, pop.y1, pop.y0)
 
     # Analysis 1: permute within sites, as the trial was actually randomized.

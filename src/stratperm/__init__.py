@@ -3,141 +3,9 @@
 Covariate-adjusted parametric ANCOVA next to a family of stratified
 permutation tests (assignment re-randomization, Freedman-Lane, Kennedy,
 Manly, nonparametric combination), a simulation engine for power studies,
-and CSV-in/CSV-out trial analysis.
+and CSV-in/CSV-out trial analysis.  Names are imported from the submodules:
+``hypothesis_tests`` (the battery and its ``METHODS`` registry),
+``randomization``, ``linear_model``, ``simulation``, ``reporting`` and ``cli``.
 """
 
 __version__ = "0.1.0"
-
-from .linear_model import (
-    DesignMatrix,
-    LeastSquaresFit,
-    SingularDesignError,
-    build_design,
-    fit_least_squares,
-    regularized_incomplete_beta,
-    student_t_two_sided_p,
-)
-from .randomization import (
-    PermutationPlan,
-    PValue,
-    StratumLayout,
-    count_assignments,
-    count_within_stratum_permutations,
-    derive_seed,
-    derive_stream,
-    enumerate_assignments,
-    enumerate_within_stratum_permutations,
-    monte_carlo_pvalue,
-    permute_within_strata,
-    sample_assignment,
-    sample_assignments,
-)
-from .hypothesis_tests import (
-    METHODS,
-    NpcResult,
-    TestResult,
-    TrialData,
-    ancova_parametric,
-    exchangeability_diagnostic,
-    freedman_lane,
-    kennedy_test,
-    lm_permutation,
-    manly_test,
-    npc_combine,
-    stratified_change_scores,
-    stratified_diff_means,
-    stratified_sum_abs,
-)
-from .simulation import (
-    Population,
-    PowerEstimate,
-    PowerStudyResult,
-    ScenarioConfig,
-    draw_error,
-    draw_latent,
-    generate_continuous_population,
-    generate_discrete_population,
-    generate_nonlinear_population,
-    generate_population,
-    load_scenario,
-    power_ratio_table,
-    run_power_study,
-    write_results_csv,
-    write_results_json,
-)
-from .reporting import (
-    AnalysisReport,
-    TrialDataError,
-    TrialDataset,
-    baseline_outcome_correlation,
-    load_trial_csv,
-    run_analysis,
-    summarize_by_arm,
-    write_trial_csv,
-)
-
-__all__ = [
-    "__version__",
-    # linear model
-    "DesignMatrix",
-    "LeastSquaresFit",
-    "SingularDesignError",
-    "build_design",
-    "fit_least_squares",
-    "regularized_incomplete_beta",
-    "student_t_two_sided_p",
-    # randomization
-    "PermutationPlan",
-    "PValue",
-    "StratumLayout",
-    "count_assignments",
-    "count_within_stratum_permutations",
-    "derive_seed",
-    "derive_stream",
-    "enumerate_assignments",
-    "enumerate_within_stratum_permutations",
-    "monte_carlo_pvalue",
-    "permute_within_strata",
-    "sample_assignment",
-    "sample_assignments",
-    # battery
-    "METHODS",
-    "NpcResult",
-    "TestResult",
-    "TrialData",
-    "ancova_parametric",
-    "exchangeability_diagnostic",
-    "freedman_lane",
-    "kennedy_test",
-    "lm_permutation",
-    "manly_test",
-    "npc_combine",
-    "stratified_change_scores",
-    "stratified_diff_means",
-    "stratified_sum_abs",
-    # simulation
-    "Population",
-    "PowerEstimate",
-    "PowerStudyResult",
-    "ScenarioConfig",
-    "draw_error",
-    "draw_latent",
-    "generate_continuous_population",
-    "generate_discrete_population",
-    "generate_nonlinear_population",
-    "generate_population",
-    "load_scenario",
-    "power_ratio_table",
-    "run_power_study",
-    "write_results_csv",
-    "write_results_json",
-    # reporting
-    "AnalysisReport",
-    "TrialDataError",
-    "TrialDataset",
-    "baseline_outcome_correlation",
-    "load_trial_csv",
-    "run_analysis",
-    "summarize_by_arm",
-    "write_trial_csv",
-]

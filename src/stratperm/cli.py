@@ -17,11 +17,12 @@ import sys
 
 import numpy as np
 
-from .hypothesis_tests import METHODS, exchangeability_diagnostic
-from .linear_model import SingularDesignError
-from .randomization import PermutationPlan, derive_seed
+from .hypothesis_tests import METHODS
+from .randomization import derive_seed
 from .reporting import (
     TrialDataError,
+    _atomic_write,
+    _exchangeability_row,
     format_report_text,
     load_trial_csv,
     run_analysis,
@@ -148,25 +149,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     dataset = load_trial_csv(args.input, control_label=args.control)
-    rows = []
-    for e_index, (name, data) in enumerate(dataset.endpoints.items()):
-        plan = PermutationPlan(
-            layout=data.layout,
-            mode="monte_carlo",
-            draws=args.permutations,
-            master_seed=derive_seed(args.seed, e_index, 10_000),
-        )
-        diag = exchangeability_diagnostic(data, plan)
-        rows.append(
-            {
-                "endpoint": name,
-                "statistic": diag.statistic,
-                "p_value": diag.p_value.value,
-                "partial_p": list(diag.per_stratum),
-                "stratum_correlations": diag.null_summary["stratum_correlations"],
-                "flags": list(diag.flags),
-            }
-        )
+    rows = [
+        _exchangeability_row(name, data, e_index, args.permutations, args.seed)
+        for e_index, (name, data) in enumerate(dataset.endpoints.items())
+    ]
     width = max(len(r["endpoint"]) for r in rows)
     sys.stdout.write(
         f"{'endpoint':<{width}}  {'statistic':>10}  {'p':>6}  per-stratum p\n"
@@ -178,9 +164,9 @@ def _cmd_diagnose(args) -> int:
             f"{row['p_value']:>6.3f}  {partial}\n"
         )
     if args.out is not None:
-        payload = json.dumps({"diagnostics": rows}, indent=2, sort_keys=True) + "\n"
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _atomic_write(
+            args.out, json.dumps({"diagnostics": rows}, indent=2, sort_keys=True) + "\n"
+        )
     return EXIT_OK
 
 
@@ -194,10 +180,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SingularDesignError, FloatingPointError, np.linalg.LinAlgError) as err:
-        sys.stderr.write(f"numerical failure: {err}\n")
-        return EXIT_NUMERIC
-    except ArithmeticError as err:
+    # SingularDesignError and FloatingPointError are ArithmeticErrors;
+    # LinAlgError is a ValueError, so it must be caught before bad input.
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
         sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERIC
     except (TrialDataError, ValueError, OSError) as err:

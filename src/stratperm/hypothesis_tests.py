@@ -10,10 +10,11 @@ permutation strategies that differ only in *what* is shuffled under the null:
   strata (Freedman-Lane permutes null-model residuals, Kennedy regresses
   treatment on permuted residuals, Manly permutes the outcomes).
 
-All permutation loops run through the same vectorized engine: the nuisance
-columns (stratum dummies and baseline) are projected out once, after which
-each draw's t statistic is a couple of dot products.  The batch path is
-checked against full refits in the test suite.
+All permutation loops run vectorized over the draws.  The four regression
+tests share one null path (``_t_null``): the nuisance columns (stratum
+dummies and baseline) are projected out once, after which each draw's t
+statistic is a couple of dot products.  The batch path is checked against
+full refits in the test suite.
 """
 
 from __future__ import annotations
@@ -222,18 +223,43 @@ def _row_ss(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
 
 
-def _project_out(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Residualize each row of ``rows`` against the orthonormal basis ``q``."""
-    return rows - (rows @ q) @ q.T
+def _t_null(draws: np.ndarray, fixed: np.ndarray, q: np.ndarray, df: int,
+            draws_are_target: bool):
+    """Null t statistics of the regression battery, one per row of ``draws``.
+
+    Every regression test scores the same FWL t statistic and differs only in
+    which side is permuted: ``draws`` (B, n) holds the permuted target
+    (assignments, Kennedy's residuals) or the permuted response (Freedman-Lane,
+    Manly), and ``fixed`` is the other side.  Both are residualized against
+    the orthonormal nuisance basis ``q``.
+    """
+    projected = draws - (draws @ q) @ q.T
+    fixed_t = fixed - q @ (q.T @ fixed)
+    b = draws.shape[0]
+    fixed_ss = np.full(b, float(fixed_t @ fixed_t))
+    if draws_are_target:
+        return _fwl_t(projected @ fixed_t, _row_ss(projected), fixed_ss, df,
+                      _row_ss(draws))
+    return _fwl_t(projected @ fixed_t, fixed_ss, _row_ss(projected), df,
+                  np.full(b, float(fixed @ fixed)))
+
+
+def _t_result(method, t_obs, null, plan, df, flags) -> TestResult:
+    t_null, n_deg = null
+    return TestResult(
+        method=method,
+        statistic=t_obs,
+        p_value=monte_carlo_pvalue(t_obs, t_null, plan.mode),
+        df=df,
+        null_summary=_summarize(t_null),
+        flags=flags,
+        degenerate_draws=n_deg,
+    )
 
 
 def _null_basis(data: TrialData) -> np.ndarray:
     design0 = build_design(data.strata, data.x)
     return orthonormal_columns(design0.matrix, design0.columns)
-
-
-def _stratum_dummies(data: TrialData) -> np.ndarray:
-    return np.equal.outer(data.strata, np.arange(data.n_strata)).astype(float)
 
 
 def _null_fit(data: TrialData):
@@ -360,32 +386,33 @@ def lm_permutation(data: TrialData, plan: PermutationPlan) -> TestResult:
     """
     _check_plan(data, plan)
     t_obs, fit, flags = _observed_treatment_t(data)
-    q0 = _null_basis(data)
-    resp = data.y - q0 @ (q0.T @ data.y)
-    resp_ss = float(resp @ resp)
-    df = fit.df
     zmat = _assignment_matrix(plan).astype(float)
-    zt = _project_out(zmat, q0)
-    t_null, n_deg = _fwl_t(
-        dot=zt @ resp,
-        target_ss=_row_ss(zt),
-        resp_ss=np.full(zmat.shape[0], resp_ss),
-        df=df,
-        target_raw_ss=_row_ss(zmat),
-    )
-    return TestResult(
-        method="lm_permutation",
-        statistic=t_obs,
-        p_value=monte_carlo_pvalue(t_obs, t_null, plan.mode),
-        df=df,
-        null_summary=_summarize(t_null),
-        flags=flags,
-        degenerate_draws=n_deg,
-    )
+    null = _t_null(zmat, data.y, _null_basis(data), fit.df, draws_are_target=True)
+    return _t_result("lm_permutation", t_obs, null, plan, fit.df, flags)
 
 
 # ---------------------------------------------------------------------------
 # residual / outcome permutation tests
+
+
+def _permuted_response_test(
+    data: TrialData, plan: PermutationPlan, method: str, permute_residuals: bool
+) -> TestResult:
+    """Refit the full model to each permuted response, design held fixed.
+
+    The response rows are the null fit plus its residuals permuted within
+    strata (Freedman-Lane) or the outcomes permuted within strata (Manly).
+    """
+    _check_plan(data, plan)
+    t_obs, fit, flags = _observed_treatment_t(data)
+    if permute_residuals:
+        fit0 = _null_fit(data)
+        rows = fit0.fitted + fit0.residuals[_permutation_matrix(plan)]
+    else:
+        rows = data.y[_permutation_matrix(plan)]
+    z = data.z.astype(float)
+    null = _t_null(rows, z, _null_basis(data), fit.df, draws_are_target=False)
+    return _t_result(method, t_obs, null, plan, fit.df, flags)
 
 
 def freedman_lane(data: TrialData, plan: PermutationPlan) -> TestResult:
@@ -396,34 +423,13 @@ def freedman_lane(data: TrialData, plan: PermutationPlan) -> TestResult:
     full model is refit to each reconstructed response.  The observed
     statistic comes from the unpermuted full fit.
     """
-    _check_plan(data, plan)
-    t_obs, fit, flags = _observed_treatment_t(data)
-    fit0 = _null_fit(data)
-    q0 = _null_basis(data)
-    z = data.z.astype(float)
-    zt = z - q0 @ (q0.T @ z)
-    zt_ss = float(zt @ zt)
-    df = fit.df
-    perm = _permutation_matrix(plan)
-    yp = fit0.fitted + fit0.residuals[perm]
-    ry = _project_out(yp, q0)
-    b = perm.shape[0]
-    t_null, n_deg = _fwl_t(
-        dot=ry @ zt,
-        target_ss=np.full(b, zt_ss),
-        resp_ss=_row_ss(ry),
-        df=df,
-        target_raw_ss=np.full(b, float(z @ z)),
-    )
-    return TestResult(
-        method="freedman_lane",
-        statistic=t_obs,
-        p_value=monte_carlo_pvalue(t_obs, t_null, plan.mode),
-        df=df,
-        null_summary=_summarize(t_null),
-        flags=flags,
-        degenerate_draws=n_deg,
-    )
+    return _permuted_response_test(data, plan, "freedman_lane", permute_residuals=True)
+
+
+def manly_test(data: TrialData, plan: PermutationPlan) -> TestResult:
+    """Manly's variant: outcomes permuted within strata against the fixed
+    design.  Same observed statistic as the other regression tests."""
+    return _permuted_response_test(data, plan, "manly", permute_residuals=False)
 
 
 def kennedy_test(data: TrialData, plan: PermutationPlan) -> TestResult:
@@ -436,7 +442,7 @@ def kennedy_test(data: TrialData, plan: PermutationPlan) -> TestResult:
     _check_plan(data, plan)
     fit0 = _null_fit(data)
     eps = fit0.residuals
-    dummies = _stratum_dummies(data)
+    dummies = np.equal.outer(data.strata, np.arange(data.n_strata)).astype(float)
     cols = tuple(f"stratum[{lab}]" for lab in data.stratum_labels) + ("null_residual",)
     z = data.z.astype(float)
     flags: tuple[str, ...] = ()
@@ -460,59 +466,8 @@ def kennedy_test(data: TrialData, plan: PermutationPlan) -> TestResult:
         flags = ("degenerate_null_residuals",)
         df = data.n_units - data.n_strata - 1
     qs = orthonormal_columns(dummies, cols[:-1])
-    zt = z - qs @ (qs.T @ z)
-    zt_ss = float(zt @ zt)
-    perm = _permutation_matrix(plan)
-    ep = eps[perm]
-    et = _project_out(ep, qs)
-    t_null, n_deg = _fwl_t(
-        dot=et @ zt,
-        target_ss=_row_ss(et),
-        resp_ss=np.full(perm.shape[0], zt_ss),
-        df=df,
-        target_raw_ss=_row_ss(ep),
-    )
-    return TestResult(
-        method="kennedy",
-        statistic=t_obs,
-        p_value=monte_carlo_pvalue(t_obs, t_null, plan.mode),
-        df=df,
-        null_summary=_summarize(t_null),
-        flags=flags,
-        degenerate_draws=n_deg,
-    )
-
-
-def manly_test(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Manly's variant: outcomes permuted within strata against the fixed
-    design.  Same observed statistic as the other regression tests."""
-    _check_plan(data, plan)
-    t_obs, fit, flags = _observed_treatment_t(data)
-    q0 = _null_basis(data)
-    z = data.z.astype(float)
-    zt = z - q0 @ (q0.T @ z)
-    zt_ss = float(zt @ zt)
-    df = fit.df
-    perm = _permutation_matrix(plan)
-    yp = data.y[perm]
-    ry = _project_out(yp, q0)
-    b = perm.shape[0]
-    t_null, n_deg = _fwl_t(
-        dot=ry @ zt,
-        target_ss=np.full(b, zt_ss),
-        resp_ss=_row_ss(ry),
-        df=df,
-        target_raw_ss=np.full(b, float(z @ z)),
-    )
-    return TestResult(
-        method="manly",
-        statistic=t_obs,
-        p_value=monte_carlo_pvalue(t_obs, t_null, plan.mode),
-        df=df,
-        null_summary=_summarize(t_null),
-        flags=flags,
-        degenerate_draws=n_deg,
-    )
+    null = _t_null(eps[_permutation_matrix(plan)], z, qs, df, draws_are_target=True)
+    return _t_result("kennedy", t_obs, null, plan, df, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@ __all__ = [
     "count_within_stratum_permutations",
     "enumerate_assignments",
     "enumerate_within_stratum_permutations",
-    "sample_assignment",
     "sample_assignments",
     "sample_within_stratum_permutations",
-    "permute_within_strata",
     "monte_carlo_pvalue",
 ]
 
@@ -235,11 +233,6 @@ def enumerate_within_stratum_permutations(
     return out
 
 
-def sample_assignment(layout: StratumLayout, stream: np.random.Generator) -> np.ndarray:
-    """One uniform draw from the stratified assignment distribution."""
-    return sample_assignments(layout, stream, 1)[0]
-
-
 def sample_assignments(
     layout: StratumLayout, stream: np.random.Generator, draws: int
 ) -> np.ndarray:
@@ -263,19 +256,6 @@ def sample_within_stratum_permutations(
         block = np.tile(pos, (draws, 1))
         stream.permuted(block, axis=1, out=block)
         out[:, pos] = block
-    return out
-
-
-def permute_within_strata(values, strata, stream: np.random.Generator) -> np.ndarray:
-    """Shuffle ``values`` uniformly within each stratum of ``strata``."""
-    values = np.asarray(values)
-    strata = np.asarray(strata)
-    if values.shape != strata.shape or values.ndim != 1:
-        raise ValueError("values and strata must be equal-length vectors")
-    out = values.copy()
-    for label in np.unique(strata):
-        pos = np.nonzero(strata == label)[0]
-        out[pos] = values[pos[stream.permutation(pos.size)]]
     return out
 
 

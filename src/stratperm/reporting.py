@@ -47,6 +47,15 @@ _BASELINE_PREFIX = "baseline_"
 _OUTCOME_PREFIX = "outcome_"
 
 
+def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then rename it over ``path``,
+    so readers never see a half-written file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 class TrialDataError(ValueError):
     """Malformed or inconsistent trial data file."""
 
@@ -226,10 +235,7 @@ def write_trial_csv(dataset: TrialDataset, path) -> None:
             cells.append(repr(float(data.x[i])))
             cells.append(repr(float(data.y[i])))
         lines.append(",".join(cells))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _arm_stats(values: np.ndarray):
@@ -315,6 +321,26 @@ class AnalysisReport:
     provenance: dict
 
 
+def _exchangeability_row(name, data, e_index, permutations, master_seed) -> dict:
+    """One endpoint's exchangeability diagnostic as a report row; ``analyze``
+    and ``diagnose`` both build it here, so their rows agree."""
+    plan = PermutationPlan(
+        layout=data.layout,
+        mode="monte_carlo",
+        draws=permutations,
+        master_seed=derive_seed(master_seed, e_index, 10_000),
+    )
+    diag = exchangeability_diagnostic(data, plan)
+    return {
+        "endpoint": name,
+        "statistic": diag.statistic,
+        "p_value": diag.p_value.value,
+        "partial_p": list(diag.per_stratum),
+        "stratum_correlations": diag.null_summary["stratum_correlations"],
+        "flags": list(diag.flags),
+    }
+
+
 def run_analysis(
     dataset: TrialDataset,
     methods,
@@ -361,22 +387,8 @@ def run_analysis(
                 }
             )
         if "freedman_lane" in methods:
-            plan = PermutationPlan(
-                layout=layout,
-                mode="monte_carlo",
-                draws=permutations,
-                master_seed=derive_seed(master_seed, e_index, 10_000),
-            )
-            diag = exchangeability_diagnostic(data, plan)
             exchangeability.append(
-                {
-                    "endpoint": name,
-                    "statistic": diag.statistic,
-                    "p_value": diag.p_value.value,
-                    "partial_p": list(diag.per_stratum),
-                    "stratum_correlations": diag.null_summary["stratum_correlations"],
-                    "flags": list(diag.flags),
-                }
+                _exchangeability_row(name, data, e_index, permutations, master_seed)
             )
     provenance = {
         "engine": "stratperm",
@@ -470,7 +482,4 @@ def write_report(report: AnalysisReport, path, fmt: str) -> None:
         text = report_to_csv(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _atomic_write(path, text)

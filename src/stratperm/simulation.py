@@ -23,8 +23,9 @@ from .randomization import (
     StratumLayout,
     derive_seed,
     derive_stream,
-    sample_assignment,
+    sample_assignments,
 )
+from .reporting import _atomic_write
 
 __all__ = [
     "FAMILIES",
@@ -229,7 +230,9 @@ def generate_continuous_population(
 
     X = (-g e^v + e^{v/2})/2 + eps and Y(z) = ((2z-1) g e^v + e^{v/2})/2 +
     delta, so Y(z) = g e^v z + X + (delta - eps): a unit's effect is g e^v
-    and the baseline enters with coefficient one.
+    and the baseline enters with coefficient one.  eps and delta both follow
+    ``config.error_dist``, except that under ``heteroskedastic_normal`` eps
+    stays N(0, 1) and only delta's sd depends on |x|.
     """
     layout = config.layout
     n = layout.n_units
@@ -261,7 +264,12 @@ def generate_discrete_population(
 def generate_nonlinear_population(
     config: ScenarioConfig, stream: np.random.Generator
 ) -> Population:
-    """Multiplicative-effect family: Y(z) = (1+g)^z X + delta."""
+    """Multiplicative-effect family: Y(z) = (1+g)^z X + delta.
+
+    X = (e^v + e^{v/2})/2 + eps.  eps and delta both follow
+    ``config.error_dist``, except that under ``heteroskedastic_normal`` eps
+    stays N(0, 1) and only delta's sd depends on |x|.
+    """
     layout = config.layout
     n = layout.n_units
     g = config.gamma
@@ -298,7 +306,7 @@ def _one_replication(config: ScenarioConfig, index: int):
     stream = derive_stream(config.master_seed, index)
     pop = generate_population(config, stream)
     layout = config.layout
-    z = sample_assignment(layout, stream)
+    z = sample_assignments(layout, stream, 1)[0]
     y = np.where(z == 1, pop.y1, pop.y0)
     data = TrialData.from_arrays(pop.strata, z, pop.x, y)
     plan = PermutationPlan(
@@ -322,15 +330,22 @@ def _replication_block(args):
     return indices, block_p, block_ate
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_power_study(
     config: ScenarioConfig, workers: int = 1, progress=None
 ) -> PowerStudyResult:
     """Run every replication of one scenario and tally rejection rates.
 
-    ``workers`` > 1 distributes replications across processes; results are
-    merged by replication index, so the output is identical for any worker
-    count.  ``progress``, if given, is called as progress(done, total) at
-    block boundaries.
+    ``workers`` > 1 distributes replications across processes, at most one
+    per usable CPU and per replication; results are merged by replication
+    index, so the output is identical for any worker count.  ``progress``,
+    if given, is called as progress(done, total) at block boundaries.
     """
     if config.master_seed is None:
         raise ValueError("scenario has no master seed; set one before running")
@@ -339,6 +354,9 @@ def run_power_study(
     p_values = np.empty((r, k))
     ates = np.empty(r)
     indices = np.arange(r)
+    # Never more processes than usable CPUs or replications; the blocks below
+    # then number at least as many as the workers.
+    workers = min(workers, _usable_cpus(), r)
     blocks = [b for b in np.array_split(indices, max(1, min(r, workers * 4))) if b.size]
     if workers <= 1:
         done = 0
@@ -439,13 +457,6 @@ def load_scenario(path) -> ScenarioConfig:
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from err
-
-
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 _CSV_COLUMNS = (

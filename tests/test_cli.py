@@ -293,6 +293,26 @@ def test_diagnose_prints_and_writes_json(trial_csv, tmp_path, capsys):
         assert len(row["stratum_correlations"]) == 3
 
 
+def test_diagnose_writes_json_atomically(trial_csv, tmp_path, monkeypatch):
+    from stratperm import reporting
+
+    renames = []
+    real_replace = reporting.os.replace
+
+    def spy(src, dst):
+        renames.append((str(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(reporting.os, "replace", spy)
+    out = tmp_path / "diag.json"
+    code = main(
+        ["diagnose", "--input", str(trial_csv), "--permutations", "99", "--out", str(out)]
+    )
+    assert code == 0
+    assert renames == [(f"{out}.tmp", str(out))]
+    assert json.loads(out.read_text())["diagnostics"]
+
+
 def test_diagnose_matches_analyze_exchangeability(trial_csv, tmp_path):
     # the standalone diagnostic and the one attached to freedman_lane reports
     # share the same seed derivation

@@ -2,8 +2,8 @@
 
 The oracles here are deliberately independent of the implementation:
 explicit normal equations solved with numpy.linalg.solve, closed-form
-Student-t tail formulas for df=1 and df=2, and scipy.special/scipy.stats
-for grid comparisons.
+Student-t tail formulas for df=1, df=2 and every even df, and
+scipy.special/scipy.stats for grid comparisons.
 """
 import math
 
@@ -176,6 +176,26 @@ def test_t_pvalue_df2_closed_form():
     for t in np.arange(0.1, 5.05, 0.1):
         expected = 1.0 - t / math.sqrt(2.0 + t * t)
         assert student_t_two_sided_p(t, 2) == pytest.approx(expected, abs=1e-8)
+
+
+def even_df_two_sided_p(t, nu):
+    """P(|T| >= t) for even nu: 1 - sin(theta) * sum_{k < nu/2} c_k cos^2k(theta),
+    with theta = atan(t / sqrt(nu)) and c_k = (2k-1)!! / (2k)!!."""
+    theta = math.atan(t / math.sqrt(nu))
+    cos2 = math.cos(theta) ** 2
+    term, terms = 1.0, [1.0]
+    for k in range(1, nu // 2):
+        term *= (2 * k - 1) / (2 * k) * cos2
+        terms.append(term)
+    return 1.0 - math.sin(theta) * math.fsum(terms)
+
+
+@pytest.mark.parametrize("nu", [44, 1994, 100_000])
+def test_t_pvalue_large_even_df_closed_form(nu):
+    # Large trials fit with thousands of residual degrees of freedom.
+    for t in np.arange(0.1, 4.05, 0.1):
+        expected = even_df_two_sided_p(float(t), nu)
+        assert student_t_two_sided_p(t, nu) == pytest.approx(expected, rel=0, abs=5e-12)
 
 
 def test_t_pvalue_center_and_symmetry():

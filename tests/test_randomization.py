@@ -22,8 +22,6 @@ from stratperm.randomization import (
     enumerate_assignments,
     enumerate_within_stratum_permutations,
     monte_carlo_pvalue,
-    permute_within_strata,
-    sample_assignment,
     sample_assignments,
     sample_within_stratum_permutations,
 )
@@ -194,19 +192,10 @@ def test_within_stratum_permutation_sampling_stays_in_blocks():
         assert np.all(np.sort(block, axis=1) == pos)
 
 
-def test_permute_within_strata_preserves_stratum_multisets():
-    strata = np.array([0, 1, 0, 1, 0, 1, 1])
-    values = np.array([10.0, 20.0, 11.0, 21.0, 12.0, 22.0, 23.0])
-    out = permute_within_strata(values, strata, derive_stream(9))
-    for label in (0, 1):
-        mask = strata == label
-        assert sorted(out[mask]) == sorted(values[mask])
-
-
 def test_sample_assignment_repeatable_from_same_seed():
     layout = StratumLayout.from_counts((6, 6), (3, 3))
-    first = sample_assignment(layout, derive_stream(123, 4))
-    second = sample_assignment(layout, derive_stream(123, 4))
+    first = sample_assignments(layout, derive_stream(123, 4), 1)
+    second = sample_assignments(layout, derive_stream(123, 4), 1)
     np.testing.assert_array_equal(first, second)
 
 

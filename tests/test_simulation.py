@@ -231,6 +231,41 @@ def test_power_study_is_deterministic_and_worker_independent():
         assert serial.estimates[name].rate == parallel.estimates[name].rate
 
 
+def test_worker_count_is_capped_without_starting_processes(monkeypatch):
+    import stratperm.simulation as simulation
+
+    pool_sizes = []
+
+    class InlineExecutor:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlineExecutor)
+    # Three usable CPUs, whichever way the platform reports them.
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    for replications, cap in ((5, 3), (2, 2)):
+        cfg = small_study(replications=replications)
+        serial = run_power_study(cfg, workers=1)
+        capped = run_power_study(cfg, workers=10**6)
+        assert pool_sizes.pop() == cap
+        np.testing.assert_array_equal(serial.p_values, capped.p_values)
+        np.testing.assert_array_equal(serial.sample_ates, capped.sample_ates)
+    assert pool_sizes == []
+
+
 def test_power_study_requires_seed():
     cfg = small_study(master_seed=None)
     with pytest.raises(ValueError, match="seed"):
