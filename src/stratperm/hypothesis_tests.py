@@ -10,16 +10,28 @@ permutation strategies that differ only in *what* is shuffled under the null:
   strata (Freedman-Lane permutes null-model residuals, Kennedy regresses
   treatment on permuted residuals, Manly permutes the outcomes).
 
-All permutation loops run vectorized over the draws.  The four regression
-tests share one null path (``_t_null``): the nuisance columns (stratum
-dummies and baseline) are projected out once, after which each draw's t
-statistic is a couple of dot products.  The batch path is checked against
-full refits in the test suite.
+All permutation tests run on one (data, plan) share one null engine,
+:func:`run_battery`.  It draws the plan's orbit once, one row block per
+stratum (:func:`~stratperm.randomization.orbit_blocks`), and multiplies each
+block by the columns the requested tests need, one matrix product per
+stratum.  Every null statistic is a sum of those per-stratum products; no
+(draws, units) matrix is built.
+
+The regression tests' nuisance columns are the stratum dummies and the
+baseline.  With u the baseline centred within strata, at unit length, a
+permuted vector v has projected sum of squares c - (u.v)^2, where c is its
+centred sum of squares, which permutation within strata leaves unchanged.
+Its cross product with the projected fixed side is one dot product
+(Frisch-Waugh-Lovell).  A draw whose difference keeps less than
+``_CANCELLED`` of c may have lost its digits to cancellation and is
+projected explicitly, so singular draws still score 0.  The test suite
+checks the engine against full refits and an explicit-projection oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -29,7 +41,6 @@ from .linear_model import (
     SingularDesignError,
     build_design,
     fit_least_squares,
-    orthonormal_columns,
     student_t_two_sided_p,
 )
 from .randomization import (
@@ -37,11 +48,8 @@ from .randomization import (
     PermutationPlan,
     PValue,
     StratumLayout,
-    enumerate_assignments,
-    enumerate_within_stratum_permutations,
     monte_carlo_pvalue,
-    sample_assignments,
-    sample_within_stratum_permutations,
+    orbit_blocks,
 )
 
 __all__ = [
@@ -58,6 +66,7 @@ __all__ = [
     "manly_test",
     "npc_combine",
     "exchangeability_diagnostic",
+    "run_battery",
     "METHODS",
 ]
 
@@ -173,18 +182,6 @@ def _check_plan(data: TrialData, plan: PermutationPlan) -> None:
         raise ValueError("plan layout does not match the trial data")
 
 
-def _assignment_matrix(plan: PermutationPlan) -> np.ndarray:
-    if plan.mode == "exact":
-        return enumerate_assignments(plan.layout, plan.enumeration_cap)
-    return sample_assignments(plan.layout, plan.stream(), plan.draws)
-
-
-def _permutation_matrix(plan: PermutationPlan) -> np.ndarray:
-    if plan.mode == "exact":
-        return enumerate_within_stratum_permutations(plan.layout, plan.enumeration_cap)
-    return sample_within_stratum_permutations(plan.layout, plan.stream(), plan.draws)
-
-
 def _observed_treatment_t(data: TrialData):
     """Full-model t for the treatment column; shared by ancova and the
     regression permutation tests so their observed statistics are identical."""
@@ -196,16 +193,17 @@ def _observed_treatment_t(data: TrialData):
 
 
 def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
-    """t statistics from Frisch-Waugh-Lovell pieces, one per row.
+    """t statistics from Frisch-Waugh-Lovell pieces, one per draw.
 
     dot           target . response after projecting out nuisance columns
-    target_ss     squared norm of the projected target, per row
-    resp_ss       squared norm of the projected response, per row
+    target_ss     squared norm of the projected target
+    resp_ss       squared norm of the projected response
     target_raw_ss squared norm of the unprojected target (sets the scale for
-                  declaring a row singular)
+                  declaring a draw singular)
 
-    Rows whose target is numerically inside the nuisance span, or whose t is
-    0/0, score 0 and are counted as degenerate.
+    Each piece is per draw or shared by all draws.  Draws whose target is
+    numerically inside the nuisance span, or whose t is 0/0, score 0 and are
+    counted as degenerate.
     """
     ok = target_ss > 1e-20 * np.maximum(target_raw_ss, 1e-300)
     safe = np.where(ok, target_ss, 1.0)
@@ -223,27 +221,6 @@ def _row_ss(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
 
 
-def _t_null(draws: np.ndarray, fixed: np.ndarray, q: np.ndarray, df: int,
-            draws_are_target: bool):
-    """Null t statistics of the regression battery, one per row of ``draws``.
-
-    Every regression test scores the same FWL t statistic and differs only in
-    which side is permuted: ``draws`` (B, n) holds the permuted target
-    (assignments, Kennedy's residuals) or the permuted response (Freedman-Lane,
-    Manly), and ``fixed`` is the other side.  Both are residualized against
-    the orthonormal nuisance basis ``q``.
-    """
-    projected = draws - (draws @ q) @ q.T
-    fixed_t = fixed - q @ (q.T @ fixed)
-    b = draws.shape[0]
-    fixed_ss = np.full(b, float(fixed_t @ fixed_t))
-    if draws_are_target:
-        return _fwl_t(projected @ fixed_t, _row_ss(projected), fixed_ss, df,
-                      _row_ss(draws))
-    return _fwl_t(projected @ fixed_t, fixed_ss, _row_ss(projected), df,
-                  np.full(b, float(fixed @ fixed)))
-
-
 def _t_result(method, t_obs, null, plan, df, flags) -> TestResult:
     t_null, n_deg = null
     return TestResult(
@@ -255,16 +232,6 @@ def _t_result(method, t_obs, null, plan, df, flags) -> TestResult:
         flags=flags,
         degenerate_draws=n_deg,
     )
-
-
-def _null_basis(data: TrialData) -> np.ndarray:
-    design0 = build_design(data.strata, data.x)
-    return orthonormal_columns(design0.matrix, design0.columns)
-
-
-def _null_fit(data: TrialData):
-    design0 = build_design(data.strata, data.x)
-    return fit_least_squares(design0, data.y)
 
 
 def _summarize(draws: np.ndarray) -> dict:
@@ -283,7 +250,151 @@ def _summarize(draws: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the null engine
+
+# The rows a test's columns meet: the orbit's assignments, or the null-model
+# residuals or the outcomes reordered by its within-stratum permutations.
+_ASSIGNMENTS, _RESIDUALS, _OUTCOMES = "assignments", "residuals", "outcomes"
+
+# A draw whose projected sum of squares keeps less than this share of its
+# centred sum of squares is projected explicitly (see the module docstring).
+_CANCELLED = 1e-3
+
+
+class _Battery:
+    """What the tests run on one (data, plan) share.
+
+    ``needs`` maps each kind of row to the columns the tests multiply into
+    it.  Fits, columns and products are made on first use, so a test run
+    alone that fails on the observed data fails before anything is drawn.
+    """
+
+    def __init__(self, data: TrialData, plan: PermutationPlan, methods):
+        _check_plan(data, plan)
+        self.data = data
+        self.plan = plan
+        self.positions = plan.layout.stratum_positions()
+        self.needs: dict = {}
+        for method in methods:
+            for rows, columns in _TESTS[method][1].items():
+                self.needs.setdefault(rows, {}).update(dict.fromkeys(columns))
+        self._columns: dict = {}
+
+    @cached_property
+    def observed(self):
+        return _observed_treatment_t(self.data)
+
+    @cached_property
+    def null_fit(self):
+        return fit_least_squares(build_design(self.data.strata, self.data.x), self.data.y)
+
+    def _project(self, v, with_x: bool = True) -> np.ndarray:
+        """v, or each row of v, with the stratum dummies projected out
+        (centred within strata) and, if ``with_x``, the baseline too."""
+        out = np.array(v, dtype=float)
+        for pos in self.positions:
+            out[..., pos] -= out[..., pos].mean(axis=-1, keepdims=True)
+        if with_x:
+            u = self.column("u")
+            out -= np.multiply.outer(out @ u, u)
+        return out
+
+    def column(self, name: str) -> np.ndarray:
+        """y; change (y - x); xc and zc (x and z centred within strata); u
+        (xc at unit length); y_t and z_t (y and z, null model projected out)."""
+        if name not in self._columns:
+            d = self.data
+            self._columns[name] = {
+                "y": lambda: d.y,
+                "change": lambda: d.y - d.x,
+                "xc": lambda: self._project(d.x, with_x=False),
+                "zc": lambda: self._project(d.z, with_x=False),
+                "u": self._unit_baseline,
+                "y_t": lambda: self._project(d.y),
+                "z_t": lambda: self._project(d.z),
+            }[name]()
+        return self._columns[name]
+
+    def _unit_baseline(self) -> np.ndarray:
+        # With x constant within strata there is no u: the null fit raises
+        # SingularDesignError before the division by zero.
+        self.null_fit
+        xc = self.column("xc")
+        return xc / np.linalg.norm(xc)
+
+    def _values(self, rows: str) -> np.ndarray:
+        """The vector the rows re-randomize (assignments) or reorder."""
+        if rows == _ASSIGNMENTS:
+            return self.data.z.astype(float)
+        return self.null_fit.residuals if rows == _RESIDUALS else self.data.y
+
+    @cached_property
+    def _products(self) -> dict:
+        """{rows: (column names, per-stratum (B, k) products, their sum)},
+        from one pass over the orbit: one matrix product per stratum and rows."""
+        values = {rows: self._values(rows) for rows in self.needs}
+        per = {rows: [] for rows in self.needs}
+        blocks = orbit_blocks(self.plan, assignments=_ASSIGNMENTS in self.needs,
+                              permutations=bool(self.needs.keys() - {_ASSIGNMENTS}))
+        for pos, treated, units in blocks:
+            for rows, names in self.needs.items():
+                block = treated.astype(float) if rows == _ASSIGNMENTS else values[rows][units]
+                per[rows].append(block @ np.column_stack([self.column(c)[pos] for c in names]))
+        return {rows: (list(names), per[rows], sum(per[rows]))
+                for rows, names in self.needs.items()}
+
+    def per_stratum(self, rows: str, column: str) -> list:
+        names, per, _ = self._products[rows]
+        return [p[:, names.index(column)] for p in per]
+
+    def total(self, rows: str, column: str) -> np.ndarray:
+        names, _, total = self._products[rows]
+        return total[:, names.index(column)]
+
+    def _rows(self, rows: str, draws) -> np.ndarray:
+        """The chosen draws of ``rows`` as a (len(draws), n_units) matrix,
+        from a second pass over the orbit."""
+        out = np.empty((len(draws), self.data.n_units))
+        values = self._values(rows)
+        assign = rows == _ASSIGNMENTS
+        for pos, treated, units in orbit_blocks(self.plan, assign, not assign):
+            out[:, pos] = treated[draws] if assign else values[units[draws]]
+        return out
+
+    def permuted_side(self, rows: str, fixed: str, with_x: bool = True):
+        """FWL pieces of a regression test's permuted side v, per draw: v's
+        cross product with the projected ``fixed`` column, and v's projected
+        sum of squares."""
+        dot = self.total(rows, fixed).copy()
+        centred = self._project(self._values(rows), with_x=False)
+        c = float(centred @ centred)
+        ss = np.full(dot.shape, c)
+        if with_x:
+            ss -= self.total(rows, "u") ** 2
+        redo = np.nonzero(ss <= _CANCELLED * c)[0]
+        if redo.size:
+            v = self._project(self._rows(rows, redo), with_x)
+            ss[redo] = _row_ss(v)
+            dot[redo] = v @ self.column(fixed)
+        return dot, ss
+
+
+# ---------------------------------------------------------------------------
 # parametric reference
+
+
+def _ancova_result(stat, fit, flags) -> TestResult:
+    return TestResult(
+        method="ancova",
+        statistic=stat,
+        p_value=PValue(
+            value=1.0 if flags else student_t_two_sided_p(stat, fit.df),
+            exceedances=0, draws=0, mode="analytic",
+        ),
+        df=fit.df,
+        null_summary={"reference": f"t({fit.df})"},
+        flags=flags,
+    )
 
 
 def ancova_parametric(data: TrialData, plan: PermutationPlan | None = None) -> TestResult:
@@ -294,19 +405,7 @@ def ancova_parametric(data: TrialData, plan: PermutationPlan | None = None) -> T
     from Student's t with N - J - 2 degrees of freedom.  ``plan`` is accepted
     for signature uniformity and ignored.
     """
-    stat, fit, flags = _observed_treatment_t(data)
-    if flags:
-        p = 1.0
-    else:
-        p = student_t_two_sided_p(stat, fit.df)
-    return TestResult(
-        method="ancova",
-        statistic=stat,
-        p_value=PValue(value=p, exceedances=0, draws=0, mode="analytic"),
-        df=fit.df,
-        null_summary={"reference": f"t({fit.df})"},
-        flags=flags,
-    )
+    return _ancova_result(*_observed_treatment_t(data))
 
 
 # ---------------------------------------------------------------------------
@@ -321,58 +420,65 @@ def _stratum_diffs(y, z, strata, n_strata):
     return out
 
 
-def _diff_means_core(data: TrialData, plan: PermutationPlan, y: np.ndarray, method: str) -> TestResult:
-    z = data.z
+def _diff_means(battery: _Battery, method: str, column: str) -> TestResult:
+    v = battery.column(column)
+    z = battery.data.z
     n_t = int(z.sum())
-    n_c = data.n_units - n_t
-    observed = float(y[z == 1].mean() - y[z == 0].mean())
-    zmat = _assignment_matrix(plan)
-    treated_sums = zmat @ y
-    draws = treated_sums / n_t - (y.sum() - treated_sums) / n_c
-    per_stratum = _stratum_diffs(y, z, data.strata, data.n_strata)
+    n_c = battery.data.n_units - n_t
+    observed = float(v[z == 1].mean() - v[z == 0].mean())
+    treated_sums = battery.total(_ASSIGNMENTS, column)
+    draws = treated_sums / n_t - (v.sum() - treated_sums) / n_c
+    per_stratum = _stratum_diffs(v, z, battery.data.strata, battery.data.n_strata)
     return TestResult(
         method=method,
         statistic=observed,
-        p_value=monte_carlo_pvalue(observed, draws, plan.mode),
-        per_stratum=tuple(float(v) for v in per_stratum),
+        p_value=monte_carlo_pvalue(observed, draws, battery.plan.mode),
+        per_stratum=tuple(float(d) for d in per_stratum),
         null_summary=_summarize(draws),
     )
 
 
+def _sum_abs(battery: _Battery) -> TestResult:
+    data, layout = battery.data, battery.plan.layout
+    y = data.y
+    per_stratum = _stratum_diffs(y, data.z, data.strata, data.n_strata)
+    observed = float(np.abs(per_stratum).sum())
+    total = 0.0
+    for pos, n_j, t_j, sums in zip(battery.positions, layout.sizes, layout.treated,
+                                   battery.per_stratum(_ASSIGNMENTS, "y")):
+        total += np.abs(sums / t_j - (y[pos].sum() - sums) / (n_j - t_j))
+    return TestResult(
+        method="stratified_sum_abs",
+        statistic=observed,
+        p_value=monte_carlo_pvalue(observed, total, battery.plan.mode, tail="right"),
+        per_stratum=tuple(float(d) for d in per_stratum),
+        null_summary=_summarize(total),
+    )
+
+
+def _lm_permutation(battery: _Battery) -> TestResult:
+    t_obs, fit, flags = battery.observed
+    dot, ss = battery.permuted_side(_ASSIGNMENTS, "y_t")
+    y_t = battery.column("y_t")
+    null = _fwl_t(dot, ss, float(y_t @ y_t), fit.df, float(battery.data.z.sum()))
+    return _t_result("lm_permutation", t_obs, null, battery.plan, fit.df, flags)
+
+
 def stratified_diff_means(data: TrialData, plan: PermutationPlan) -> TestResult:
     """Pooled difference in outcome means, re-randomized within strata."""
-    _check_plan(data, plan)
-    return _diff_means_core(data, plan, data.y, "stratified_diff_means")
+    return _run_one(data, plan, "stratified_diff_means")
 
 
 def stratified_change_scores(data: TrialData, plan: PermutationPlan) -> TestResult:
     """Difference in means of the change scores y - x, re-randomized within
     strata.  With x identically zero this coincides with
     :func:`stratified_diff_means` draw for draw."""
-    _check_plan(data, plan)
-    return _diff_means_core(data, plan, data.y - data.x, "change_scores")
+    return _run_one(data, plan, "change_scores")
 
 
 def stratified_sum_abs(data: TrialData, plan: PermutationPlan) -> TestResult:
     """Sum over strata of |treated mean - control mean|, right-tailed."""
-    _check_plan(data, plan)
-    y, z = data.y, data.z
-    per_stratum = _stratum_diffs(y, z, data.strata, data.n_strata)
-    observed = float(np.abs(per_stratum).sum())
-    zmat = _assignment_matrix(plan)
-    total = np.zeros(zmat.shape[0])
-    for j, pos in enumerate(plan.layout.stratum_positions()):
-        t_j = plan.layout.treated[j]
-        c_j = plan.layout.sizes[j] - t_j
-        sums = zmat[:, pos] @ y[pos]
-        total += np.abs(sums / t_j - (y[pos].sum() - sums) / c_j)
-    return TestResult(
-        method="stratified_sum_abs",
-        statistic=observed,
-        p_value=monte_carlo_pvalue(observed, total, plan.mode, tail="right"),
-        per_stratum=tuple(float(v) for v in per_stratum),
-        null_summary=_summarize(total),
-    )
+    return _run_one(data, plan, "stratified_sum_abs")
 
 
 def lm_permutation(data: TrialData, plan: PermutationPlan) -> TestResult:
@@ -381,67 +487,33 @@ def lm_permutation(data: TrialData, plan: PermutationPlan) -> TestResult:
     The observed statistic is the same full-model t as
     :func:`ancova_parametric`; the null distribution refits it under
     re-randomized treatment assignments (the baseline and stratum columns
-    stay put, so each draw reduces to two dot products after one shared
-    projection).
+    stay put, so each draw reduces to two dot products with the projected
+    outcome and the baseline direction).
     """
-    _check_plan(data, plan)
-    t_obs, fit, flags = _observed_treatment_t(data)
-    zmat = _assignment_matrix(plan).astype(float)
-    null = _t_null(zmat, data.y, _null_basis(data), fit.df, draws_are_target=True)
-    return _t_result("lm_permutation", t_obs, null, plan, fit.df, flags)
+    return _run_one(data, plan, "lm_permutation")
 
 
 # ---------------------------------------------------------------------------
 # residual / outcome permutation tests
 
 
-def _permuted_response_test(
-    data: TrialData, plan: PermutationPlan, method: str, permute_residuals: bool
-) -> TestResult:
+def _permuted_response(battery: _Battery, method: str, rows: str) -> TestResult:
     """Refit the full model to each permuted response, design held fixed.
 
-    The response rows are the null fit plus its residuals permuted within
-    strata (Freedman-Lane) or the outcomes permuted within strata (Manly).
+    The response is the null fit plus its residuals permuted within strata
+    (Freedman-Lane) or the outcomes permuted within strata (Manly); the null
+    fit lies in the nuisance span, so only the permuted part is projected.
     """
-    _check_plan(data, plan)
-    t_obs, fit, flags = _observed_treatment_t(data)
-    if permute_residuals:
-        fit0 = _null_fit(data)
-        rows = fit0.fitted + fit0.residuals[_permutation_matrix(plan)]
-    else:
-        rows = data.y[_permutation_matrix(plan)]
-    z = data.z.astype(float)
-    null = _t_null(rows, z, _null_basis(data), fit.df, draws_are_target=False)
-    return _t_result(method, t_obs, null, plan, fit.df, flags)
+    t_obs, fit, flags = battery.observed
+    dot, ss = battery.permuted_side(rows, "z_t")
+    z_t = battery.column("z_t")
+    null = _fwl_t(dot, float(z_t @ z_t), ss, fit.df, float(battery.data.z.sum()))
+    return _t_result(method, t_obs, null, battery.plan, fit.df, flags)
 
 
-def freedman_lane(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Freedman-Lane permutation of the ANCOVA t statistic.
-
-    Null model (stratum dummies + baseline) is fit once; its residuals are
-    permuted within strata, added back to the null fitted values, and the
-    full model is refit to each reconstructed response.  The observed
-    statistic comes from the unpermuted full fit.
-    """
-    return _permuted_response_test(data, plan, "freedman_lane", permute_residuals=True)
-
-
-def manly_test(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Manly's variant: outcomes permuted within strata against the fixed
-    design.  Same observed statistic as the other regression tests."""
-    return _permuted_response_test(data, plan, "manly", permute_residuals=False)
-
-
-def kennedy_test(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Kennedy's variant: treatment regressed on permuted null residuals.
-
-    The observed statistic is the t of the (unpermuted) null-residual column
-    in a regression of z on stratum dummies plus those residuals; each draw
-    re-estimates it with the residuals permuted within strata.
-    """
-    _check_plan(data, plan)
-    fit0 = _null_fit(data)
-    eps = fit0.residuals
+def _kennedy(battery: _Battery) -> TestResult:
+    data = battery.data
+    eps = battery.null_fit.residuals
     dummies = np.equal.outer(data.strata, np.arange(data.n_strata)).astype(float)
     cols = tuple(f"stratum[{lab}]" for lab in data.stratum_labels) + ("null_residual",)
     z = data.z.astype(float)
@@ -465,9 +537,38 @@ def kennedy_test(data: TrialData, plan: PermutationPlan) -> TestResult:
         t_obs = 0.0
         flags = ("degenerate_null_residuals",)
         df = data.n_units - data.n_strata - 1
-    qs = orthonormal_columns(dummies, cols[:-1])
-    null = _t_null(eps[_permutation_matrix(plan)], z, qs, df, draws_are_target=True)
-    return _t_result("kennedy", t_obs, null, plan, df, flags)
+    # Kennedy's nuisance columns are the stratum dummies alone.
+    dot, ss = battery.permuted_side(_RESIDUALS, "zc", with_x=False)
+    zc = battery.column("zc")
+    null = _fwl_t(dot, ss, float(zc @ zc), df, float(eps @ eps))
+    return _t_result("kennedy", t_obs, null, battery.plan, df, flags)
+
+
+def freedman_lane(data: TrialData, plan: PermutationPlan) -> TestResult:
+    """Freedman-Lane permutation of the ANCOVA t statistic.
+
+    Null model (stratum dummies + baseline) is fit once; its residuals are
+    permuted within strata, added back to the null fitted values, and the
+    full model is refit to each reconstructed response.  The observed
+    statistic comes from the unpermuted full fit.
+    """
+    return _run_one(data, plan, "freedman_lane")
+
+
+def manly_test(data: TrialData, plan: PermutationPlan) -> TestResult:
+    """Manly's variant: outcomes permuted within strata against the fixed
+    design.  Same observed statistic as the other regression tests."""
+    return _run_one(data, plan, "manly")
+
+
+def kennedy_test(data: TrialData, plan: PermutationPlan) -> TestResult:
+    """Kennedy's variant: treatment regressed on permuted null residuals.
+
+    The observed statistic is the t of the (unpermuted) null-residual column
+    in a regression of z on stratum dummies plus those residuals; each draw
+    re-estimates it with the residuals permuted within strata.
+    """
+    return _run_one(data, plan, "kennedy")
 
 
 # ---------------------------------------------------------------------------
@@ -534,53 +635,30 @@ def npc_combine(
     return NpcResult(statistic=stat, p_value=p, partial_p=obs_p, combiner=combiner)
 
 
-def exchangeability_diagnostic(
-    data: TrialData,
-    plan: PermutationPlan,
-    combiner: str = "fisher",
-) -> TestResult:
-    """Do null-model residuals look exchangeable with respect to baseline?
-
-    Per stratum the statistic is the Pearson correlation between the null
-    residuals and the baseline covariate; each stratum's null shuffles the
-    residuals within that stratum, and the per-stratum tests are combined
-    nonparametrically.  Strata where either column is constant contribute a
-    partial p of 1 and are flagged.
-    """
-    _check_plan(data, plan)
-    fit0 = _null_fit(data)
-    eps = fit0.residuals
-    positions = plan.layout.stratum_positions()
+def _exchangeability(battery: _Battery, combiner: str = "fisher") -> TestResult:
+    data = battery.data
+    eps = battery.null_fit.residuals
     j_total = data.n_strata
     flags: list[str] = []
 
-    centered_x = []
     scale = np.empty(j_total)
-    for j, pos in enumerate(positions):
-        xj = data.x[pos]
-        ej = eps[pos]
-        sx = xj.std(ddof=1)
-        se = ej.std(ddof=1)
-        xc = xj - xj.mean()
-        centered_x.append(xc)
+    observed = np.zeros(j_total)
+    for j, pos in enumerate(battery.positions):
+        sx = data.x[pos].std(ddof=1)
+        se = eps[pos].std(ddof=1)
         denom = (pos.size - 1) * sx * se
         if denom <= 0.0 or not np.isfinite(denom):
             scale[j] = 0.0
             flags.append(f"constant_in_stratum[{data.stratum_labels[j]}]")
         else:
             scale[j] = 1.0 / denom
+            observed[j] = float((eps[pos] @ battery.column("xc")[pos]) * scale[j])
 
-    observed = np.zeros(j_total)
-    for j, pos in enumerate(positions):
+    per = battery.per_stratum(_RESIDUALS, "xc")
+    draws = np.zeros((per[0].shape[0], j_total))
+    for j in range(j_total):
         if scale[j] > 0.0:
-            observed[j] = float((eps[pos] @ centered_x[j]) * scale[j])
-
-    perm = _permutation_matrix(plan)
-    ep = eps[perm]
-    draws = np.zeros((perm.shape[0], j_total))
-    for j, pos in enumerate(positions):
-        if scale[j] > 0.0:
-            draws[:, j] = (ep[:, pos] @ centered_x[j]) * scale[j]
+            draws[:, j] = per[j] * scale[j]
 
     npc = npc_combine(observed, draws, combiner=combiner, tail="two_sided")
     return TestResult(
@@ -594,6 +672,64 @@ def exchangeability_diagnostic(
         },
         flags=tuple(flags),
     )
+
+
+def exchangeability_diagnostic(
+    data: TrialData,
+    plan: PermutationPlan,
+    combiner: str = "fisher",
+) -> TestResult:
+    """Do null-model residuals look exchangeable with respect to baseline?
+
+    Per stratum the statistic is the Pearson correlation between the null
+    residuals and the baseline covariate; each stratum's null shuffles the
+    residuals within that stratum, and the per-stratum tests are combined
+    nonparametrically.  Strata where either column is constant contribute a
+    partial p of 1 and are flagged.
+    """
+    return _exchangeability(_Battery(data, plan, ("exchangeability",)), combiner)
+
+
+# ---------------------------------------------------------------------------
+# the registry and the battery
+
+# Each test's scorer, and the columns it multiplies into each kind of row.
+_TESTS = {
+    "ancova": (lambda b: _ancova_result(*b.observed), {}),
+    "stratified_diff_means": (
+        lambda b: _diff_means(b, "stratified_diff_means", "y"), {_ASSIGNMENTS: ("y",)}),
+    "stratified_sum_abs": (_sum_abs, {_ASSIGNMENTS: ("y",)}),
+    "change_scores": (
+        lambda b: _diff_means(b, "change_scores", "change"), {_ASSIGNMENTS: ("change",)}),
+    "lm_permutation": (_lm_permutation, {_ASSIGNMENTS: ("y_t", "u")}),
+    "freedman_lane": (
+        lambda b: _permuted_response(b, "freedman_lane", _RESIDUALS),
+        {_RESIDUALS: ("z_t", "u")}),
+    "kennedy": (_kennedy, {_RESIDUALS: ("zc",)}),
+    "manly": (
+        lambda b: _permuted_response(b, "manly", _OUTCOMES), {_OUTCOMES: ("z_t", "u")}),
+    "exchangeability": (_exchangeability, {_RESIDUALS: ("xc",)}),
+}
+
+
+def _run_one(data: TrialData, plan: PermutationPlan, method: str) -> TestResult:
+    return _TESTS[method][0](_Battery(data, plan, (method,)))
+
+
+def run_battery(data: TrialData, plan: PermutationPlan, methods) -> dict:
+    """Run several tests on one (data, plan), drawing the orbit once.
+
+    ``methods`` are names from :data:`METHODS` or ``"exchangeability"``.
+    Returns ``{method: TestResult}``; each result is the one the test's own
+    function returns for the same (data, plan), because every test run with
+    one plan sees the same draws.
+    """
+    methods = list(methods)
+    unknown = [m for m in methods if m not in _TESTS]
+    if unknown:
+        raise ValueError(f"unknown tests {unknown}; choose from {sorted(_TESTS)}")
+    battery = _Battery(data, plan, methods)
+    return {m: _TESTS[m][0](battery) for m in methods}
 
 
 # Registry used by the simulation engine and the command line.  All entries

@@ -8,6 +8,13 @@ the test battery:
 * within-stratum permutations -- reorderings of an arbitrary vector, n_j!
   per stratum (used by tests that shuffle residuals or outcomes).
 
+The test battery reads a plan's draws from :func:`orbit_blocks`, one row
+block per stratum, so that no (draws, units) matrix need exist.  A
+Monte-Carlo orbit is sampled once and serves both kinds: a uniform
+within-stratum permutation, cut at the stratum's treated count, is a
+uniform assignment.  Exact orbits are Cartesian products of per-stratum
+enumerations, built without a loop over the product's rows.
+
 Randomness is derived, never passed around as global state: a master seed and
 an index tuple give an independent stream via ``SeedSequence`` spawn keys, so
 results cannot depend on how work is scheduled across workers.
@@ -34,6 +41,7 @@ __all__ = [
     "enumerate_within_stratum_permutations",
     "sample_assignments",
     "sample_within_stratum_permutations",
+    "orbit_blocks",
     "monte_carlo_pvalue",
 ]
 
@@ -129,7 +137,9 @@ class PermutationPlan:
 
     mode "exact" enumerates the whole orbit (subject to ``enumeration_cap``);
     mode "monte_carlo" samples ``draws`` re-randomizations from the stream
-    derived from ``master_seed``.
+    derived from ``master_seed``.  Every test run with one plan sees the same
+    draws; in monte_carlo mode the assignments are cut from the sampled
+    within-stratum permutations (see :func:`orbit_blocks`).
     """
 
     layout: StratumLayout
@@ -184,6 +194,37 @@ def count_within_stratum_permutations(layout: StratumLayout) -> int:
     return total
 
 
+def _check_cap(total: int, cap: int | None, what: str) -> None:
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if total > cap:
+        raise ValueError(
+            f"exact enumeration would produce {total} {what}, "
+            f"over the cap of {cap}; use monte_carlo mode"
+        )
+
+
+def _product(layout: StratumLayout, blocks: list, dtype) -> np.ndarray:
+    """Rows of the Cartesian product of per-stratum row blocks, earlier
+    strata varying slowest, each block written at its stratum's positions."""
+    total = math.prod(block.shape[0] for block in blocks)
+    out = np.empty((total, layout.n_units), dtype=dtype)
+    before = 1
+    for pos, block in zip(layout.stratum_positions(), blocks):
+        after = total // (before * block.shape[0])
+        out[:, pos] = np.tile(np.repeat(block, after, axis=0), (before, 1))
+        before *= block.shape[0]
+    return out
+
+
+def _sampled_units(positions, stream: np.random.Generator, draws: int):
+    """Per stratum, ``draws`` uniform reorderings of its unit positions,
+    drawn from ``stream`` stratum after stratum."""
+    for pos in positions:
+        block = np.tile(pos, (draws, 1))
+        stream.permuted(block, axis=1, out=block)
+        yield block
+
+
 def enumerate_assignments(layout: StratumLayout, cap: int | None = None) -> np.ndarray:
     """All assignments as a (count, n_units) 0/1 matrix, deterministic order.
 
@@ -191,22 +232,13 @@ def enumerate_assignments(layout: StratumLayout, cap: int | None = None) -> np.n
     enumerate more than ``cap`` assignments (default 1e6) and reports the
     would-be count in the error.
     """
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    total = count_assignments(layout)
-    if total > cap:
-        raise ValueError(
-            f"exact enumeration would produce {total} assignments, "
-            f"over the cap of {cap}; use monte_carlo mode"
-        )
-    positions = layout.stratum_positions()
-    per_stratum = []
-    for pos, t in zip(positions, layout.treated):
-        per_stratum.append(list(itertools.combinations(pos, t)))
-    out = np.zeros((total, layout.n_units), dtype=np.int8)
-    for row, combo in enumerate(itertools.product(*per_stratum)):
-        for chosen in combo:
-            out[row, list(chosen)] = 1
-    return out
+    _check_cap(count_assignments(layout), cap, "assignments")
+    blocks = []
+    for n, t in zip(layout.sizes, layout.treated):
+        chosen = np.array(list(itertools.combinations(range(n), t)))
+        blocks.append(np.zeros((chosen.shape[0], n), dtype=np.int8))
+        np.put_along_axis(blocks[-1], chosen, 1, axis=1)
+    return _product(layout, blocks, np.int8)
 
 
 def enumerate_within_stratum_permutations(
@@ -217,33 +249,25 @@ def enumerate_within_stratum_permutations(
     Row r is a permutation of 0..n-1 moving units only inside their stratum;
     ``values[out[r]]`` is the r-th reordering of ``values``.
     """
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    total = count_within_stratum_permutations(layout)
-    if total > cap:
-        raise ValueError(
-            f"exact enumeration would produce {total} permutations, "
-            f"over the cap of {cap}; use monte_carlo mode"
-        )
-    positions = layout.stratum_positions()
-    per_stratum = [list(itertools.permutations(pos)) for pos in positions]
-    out = np.empty((total, layout.n_units), dtype=np.intp)
-    for row, perm in enumerate(itertools.product(*per_stratum)):
-        for pos, reordered in zip(positions, perm):
-            out[row, pos] = reordered
-    return out
+    _check_cap(count_within_stratum_permutations(layout), cap, "permutations")
+    blocks = [np.array(list(itertools.permutations(pos))) for pos in layout.stratum_positions()]
+    return _product(layout, blocks, np.intp)
 
 
 def sample_assignments(
     layout: StratumLayout, stream: np.random.Generator, draws: int
 ) -> np.ndarray:
-    """(draws, n_units) matrix of independent uniform assignments."""
+    """(draws, n_units) matrix of independent uniform assignments.
+
+    Row b treats the units to which row b of the within-stratum
+    permutations drawn from the same stream moves each stratum's first t_j
+    units (the label-shuffling sampler, drawn through the permutations).
+    """
     out = np.empty((draws, layout.n_units), dtype=np.int8)
-    for pos, n, t in zip(layout.stratum_positions(), layout.sizes, layout.treated):
-        base = np.zeros(n, dtype=np.int8)
-        base[:t] = 1
-        block = np.tile(base, (draws, 1))
-        stream.permuted(block, axis=1, out=block)
-        out[:, pos] = block
+    positions = layout.stratum_positions()
+    for pos, t, units in zip(positions, layout.treated,
+                             _sampled_units(positions, stream, draws)):
+        out[:, pos] = units < pos[t]
     return out
 
 
@@ -252,11 +276,41 @@ def sample_within_stratum_permutations(
 ) -> np.ndarray:
     """(draws, n_units) index matrix of uniform within-stratum reorderings."""
     out = np.empty((draws, layout.n_units), dtype=np.intp)
-    for pos in layout.stratum_positions():
-        block = np.tile(pos, (draws, 1))
-        stream.permuted(block, axis=1, out=block)
-        out[:, pos] = block
+    positions = layout.stratum_positions()
+    for pos, units in zip(positions, _sampled_units(positions, stream, draws)):
+        out[:, pos] = units
     return out
+
+
+def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
+                 permutations: bool = True):
+    """The draws of one plan, one row block per stratum.
+
+    Yields each stratum's unit positions ``pos`` and two (B, n_j) blocks:
+    draw b treats the unit at ``pos[i]`` where ``treated[b, i]``, and
+    ``values[units[b]]`` is draw b's reordering of ``values[pos]``.
+    ``treated`` is None unless ``assignments``, and exact ``units`` unless
+    ``permutations``.  One stratum's blocks are held at a time.
+
+    Monte-Carlo blocks are the rows that
+    :func:`sample_within_stratum_permutations` and :func:`sample_assignments`
+    draw from ``plan.stream()``, sampled once: positions ascend, so
+    ``units < pos[t_j]`` marks the units that receive the stratum's first
+    t_j units.  Exact blocks are the columns of :func:`enumerate_assignments`
+    and :func:`enumerate_within_stratum_permutations`.
+    """
+    layout, cap = plan.layout, plan.enumeration_cap
+    positions = layout.stratum_positions()
+    if plan.mode == "monte_carlo":
+        sampled = _sampled_units(positions, plan.stream(), plan.draws)
+        for pos, t, units in zip(positions, layout.treated, sampled):
+            yield pos, units < pos[t] if assignments else None, units
+        return
+    treated = enumerate_assignments(layout, cap) if assignments else None
+    units = enumerate_within_stratum_permutations(layout, cap) if permutations else None
+    for pos in positions:
+        yield (pos, None if treated is None else treated[:, pos] == 1,
+               None if units is None else units[:, pos])
 
 
 def monte_carlo_pvalue(

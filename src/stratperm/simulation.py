@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypothesis_tests import METHODS, TrialData
+from .hypothesis_tests import METHODS, TrialData, run_battery
 from .randomization import (
     PermutationPlan,
     StratumLayout,
@@ -315,10 +315,8 @@ def _one_replication(config: ScenarioConfig, index: int):
         draws=config.permutations,
         master_seed=derive_seed(config.master_seed, index, 1),
     )
-    pvec = np.empty(len(config.tests))
-    for k, name in enumerate(config.tests):
-        pvec[k] = METHODS[name](data, plan).p_value.value
-    return pvec, pop.sample_ate
+    results = run_battery(data, plan, config.tests)
+    return np.array([results[name].p_value.value for name in config.tests]), pop.sample_ate
 
 
 def _replication_block(args):

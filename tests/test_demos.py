@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ runs to completion and leaves no
+temporary directory behind."""
 import os
 import pathlib
 import subprocess
@@ -25,3 +26,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(tmp_path.glob("stratperm-demo-*")) == []

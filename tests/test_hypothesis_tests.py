@@ -4,8 +4,12 @@ On layouts small enough to enumerate, every batched permutation test is
 compared against a literal reimplementation: loop over the orbit, rebuild
 the design, refit with numpy.linalg.lstsq, recount exceedances.  The FWL
 shortcuts in the implementation must agree with those full refits exactly
-(up to float roundoff).
+(up to float roundoff).  The shared null engine is also checked against an
+explicit-projection oracle that builds each test's whole (draws, units)
+matrix, and a battery call against the separate test calls.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,17 +23,28 @@ from stratperm.hypothesis_tests import (
     lm_permutation,
     manly_test,
     npc_combine,
+    run_battery,
     stratified_change_scores,
     stratified_diff_means,
     stratified_sum_abs,
 )
-from stratperm.linear_model import build_design, fit_least_squares, student_t_two_sided_p
+from stratperm.linear_model import (
+    DesignMatrix,
+    SingularDesignError,
+    build_design,
+    fit_least_squares,
+    orthonormal_columns,
+    student_t_two_sided_p,
+)
 from stratperm.randomization import (
     PermutationPlan,
     StratumLayout,
     derive_stream,
     enumerate_assignments,
     enumerate_within_stratum_permutations,
+    monte_carlo_pvalue,
+    sample_assignments,
+    sample_within_stratum_permutations,
 )
 
 TIE = 1e-12
@@ -249,6 +264,33 @@ def test_monte_carlo_tracks_exact_on_small_orbit():
     mc = stratified_diff_means(data, mc_plan(data, draws=10_000)).p_value.value
     bound = 3.0 * np.sqrt(exact * (1.0 - exact) / 10_000)
     assert abs(mc - exact) <= bound + 1e-4
+
+
+def test_lm_permutation_scores_singular_draws_zero():
+    # x is an affine image of an assignment of the layout, so two draws of the
+    # orbit, that assignment and its mirror, put the treatment column inside
+    # the span of the stratum dummies and the baseline: their refits are
+    # singular.  With these coefficients the rounding in the engine's
+    # subtraction lands above the singular-row threshold, so the draws are
+    # caught only by projecting them explicitly.
+    rng = np.random.default_rng(606)
+    strata = np.repeat([0, 1], 6)
+    x = 0.1 + 0.7 * np.array([1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0], dtype=float)
+    z = np.array([1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1], dtype=np.int8)
+    y = 0.7 * x + 0.8 * z + rng.standard_normal(12)
+    data = TrialData.from_arrays(strata, z, x, y)
+    result = lm_permutation(data, exact_plan(data))
+    assert result.degenerate_draws == 2
+
+    dummies = np.equal.outer(strata, np.array([0, 1])).astype(float)
+    draws = []
+    for row in enumerate_assignments(data.layout).astype(float):
+        m = np.column_stack([dummies, x, row])
+        singular = np.linalg.matrix_rank(m) < m.shape[1]
+        draws.append(0.0 if singular else refit_t(strata, x, row, y))
+    k = np.sum(np.abs(draws) >= abs(result.statistic) - TIE)
+    assert result.p_value.exceedances == k
+    assert result.p_value.value == pytest.approx(k / 400.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +525,175 @@ def test_exact_tests_are_super_uniform_under_sharp_null():
             rate = np.mean(ps <= alpha + TIE)
             margin = 3.0 * np.sqrt(alpha * (1 - alpha) / n_sets)
             assert rate <= alpha + margin, (m, alpha, rate)
+
+
+# ---------------------------------------------------------------------------
+# the shared null engine against an explicit-projection oracle
+
+
+def _oracle_t(draws, fixed, q, df, draws_are_target):
+    """Null t statistics by explicit projection: every row of ``draws`` and
+    the ``fixed`` vector are residualized against the orthonormal nuisance
+    basis ``q``.  Singular rows and 0/0 rows score 0 and are counted."""
+    projected = draws - (draws @ q) @ q.T
+    fixed_t = fixed - q @ (q.T @ fixed)
+    dot = projected @ fixed_t
+    rows_ss = np.einsum("ij,ij->i", projected, projected)
+    if draws_are_target:
+        target_ss, resp_ss = rows_ss, fixed_t @ fixed_t
+        raw_ss = np.einsum("ij,ij->i", draws, draws)
+    else:
+        target_ss, resp_ss, raw_ss = fixed_t @ fixed_t, rows_ss, fixed @ fixed
+    ok = target_ss > 1e-20 * np.maximum(raw_ss, 1e-300)
+    safe = np.where(ok, target_ss, 1.0)
+    rss = np.maximum(resp_ss - dot * dot / safe, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(ok, dot / safe, 0.0) * np.sqrt(df * safe / rss)
+    bad = ~ok | np.isnan(t)
+    return np.where(bad, 0.0, t), int(np.count_nonzero(bad))
+
+
+def _oracle(data, plan, method):
+    """(statistic, null draws, degenerate draws) of ``method`` computed the
+    direct way: the plan's whole (draws, units) orbit matrix, each test's
+    own projections, no shared draws.  Exchangeability returns the
+    observed stratum correlations and the (draws, strata) null matrix."""
+    layout, exact = plan.layout, plan.mode == "exact"
+    if exact:
+        zmat = enumerate_assignments(layout)
+        perm = enumerate_within_stratum_permutations(layout)
+    else:
+        zmat = sample_assignments(layout, plan.stream(), plan.draws)
+        perm = sample_within_stratum_permutations(layout, plan.stream(), plan.draws)
+    z, y, x, strata = data.z, data.y, data.x, data.strata
+    dummies = np.equal.outer(strata, np.arange(data.n_strata)).astype(float)
+    design0 = build_design(strata, x)
+    q = orthonormal_columns(design0.matrix, design0.columns)
+    fit0 = fit_least_squares(design0, y)
+    fit = fit_least_squares(build_design(strata, x, z), y)
+    if method in ("stratified_diff_means", "change_scores"):
+        v = y if method == "stratified_diff_means" else y - x
+        sums = zmat @ v
+        n_t = int(z.sum())
+        draws = sums / n_t - (v.sum() - sums) / (data.n_units - n_t)
+        return float(v[z == 1].mean() - v[z == 0].mean()), draws, 0
+    if method == "stratified_sum_abs":
+        observed, draws = 0.0, np.zeros(zmat.shape[0])
+        for pos, t in zip(layout.stratum_positions(), layout.treated):
+            sums = zmat[:, pos] @ y[pos]
+            draws += np.abs(sums / t - (y[pos].sum() - sums) / (pos.size - t))
+            observed += abs(y[pos][z[pos] == 1].mean() - y[pos][z[pos] == 0].mean())
+        return observed, draws, 0
+    if method == "lm_permutation":
+        return (fit.treatment_t,) + _oracle_t(zmat.astype(float), y, q, fit.df, True)
+    if method in ("freedman_lane", "manly"):
+        rows = fit0.fitted + fit0.residuals[perm] if method == "freedman_lane" else y[perm]
+        return (fit.treatment_t,) + _oracle_t(rows, z.astype(float), q, fit.df, False)
+    eps = fit0.residuals
+    if method == "kennedy":
+        design = DesignMatrix(matrix=np.column_stack([dummies, eps]),
+                              columns=tuple(f"c{j}" for j in range(data.n_strata + 1)),
+                              n_strata=data.n_strata, treatment_column=data.n_strata)
+        obs = fit_least_squares(design, z.astype(float))
+        q_strata = orthonormal_columns(dummies, design.columns[:-1])
+        return (obs.treatment_t,) + _oracle_t(eps[perm], z.astype(float), q_strata,
+                                              obs.df, True)
+    observed, draws = [], []
+    for pos in layout.stratum_positions():
+        xc = x[pos] - x[pos].mean()
+        scale = 1.0 / ((pos.size - 1) * x[pos].std(ddof=1) * eps[pos].std(ddof=1))
+        observed.append(eps[pos] @ xc * scale)
+        draws.append(eps[perm][:, pos] @ xc * scale)
+    return np.array(observed), np.column_stack(draws), 0
+
+
+def _summary(draws):
+    q = np.quantile(draws, (0.025, 0.5, 0.975))
+    return [draws.mean(), draws.std(ddof=1), *q]
+
+
+def interleaved_trial(seed, sizes):
+    """A trial whose strata codes interleave, with a real effect."""
+    rng = np.random.default_rng(seed)
+    strata = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    z = np.zeros(strata.size, dtype=np.int8)
+    for j, n in enumerate(sizes):
+        z[rng.choice(np.nonzero(strata == j)[0], n // 2, replace=False)] = 1
+    x = rng.standard_normal(strata.size) + 3.0
+    y = 0.8 * x + 0.6 * z + 0.3 * strata + rng.standard_normal(strata.size)
+    return TrialData.from_arrays(strata, z, x, y)
+
+
+PARITY_CASES = [
+    ("monte_carlo", 1, (9, 11, 10)),
+    ("monte_carlo", 2, (4, 7, 5, 6)),
+    ("exact", 3, (4, 5, 4)),
+]
+
+
+@pytest.mark.parametrize("mode,seed,sizes", PARITY_CASES,
+                         ids=[f"{m}-{s}" for m, s, _ in PARITY_CASES])
+def test_engine_matches_explicit_projection_oracle(mode, seed, sizes):
+    data = interleaved_trial(seed, sizes)
+    plan = PermutationPlan(layout=data.layout, mode=mode, draws=400, master_seed=seed)
+    for method in [m for m in METHODS if m != "ancova"]:
+        result = METHODS[method](data, plan)
+        statistic, draws, degenerate = _oracle(data, plan, method)
+        tail = "right" if method == "stratified_sum_abs" else "two_sided"
+        p = monte_carlo_pvalue(statistic, draws, mode, tail=tail)
+        assert result.statistic == statistic, method
+        assert result.p_value == p, method
+        assert result.degenerate_draws == degenerate, method
+        summary = result.null_summary
+        np.testing.assert_allclose(
+            [summary[k] for k in ("mean", "sd", "q025", "median", "q975")],
+            _summary(draws), rtol=1e-9, atol=1e-12, err_msg=method,
+        )
+    result = exchangeability_diagnostic(data, plan)
+    observed, draws, _ = _oracle(data, plan, "exchangeability")
+    npc = npc_combine(observed, draws)
+    assert result.null_summary["stratum_correlations"] == observed.tolist()
+    assert result.statistic == npc.statistic
+    assert result.p_value == npc.p_value
+    assert result.per_stratum == tuple(npc.partial_p)
+
+
+@pytest.mark.parametrize("mode,seed,sizes", PARITY_CASES,
+                         ids=[f"{m}-{s}" for m, s, _ in PARITY_CASES])
+def test_one_battery_call_equals_the_separate_calls(mode, seed, sizes):
+    data = interleaved_trial(seed, sizes)
+    plan = PermutationPlan(layout=data.layout, mode=mode, draws=400, master_seed=seed)
+    names = list(METHODS) + ["exchangeability"]
+    together = run_battery(data, plan, names)
+    assert list(together) == names
+    for name in names:
+        alone = (exchangeability_diagnostic if name == "exchangeability"
+                 else METHODS[name])(data, plan)
+        both = together[name]
+        assert both.statistic == alone.statistic, name
+        assert both.p_value == alone.p_value, name
+        assert both.degenerate_draws == alone.degenerate_draws, name
+        assert both.per_stratum == alone.per_stratum, name
+        assert both.flags == alone.flags, name
+        assert both.null_summary == pytest.approx(alone.null_summary, rel=1e-12), name
+
+
+def test_battery_rejects_unknown_tests():
+    data = small_trial()
+    with pytest.raises(ValueError, match="unknown"):
+        run_battery(data, mc_plan(data), ["lm_permutation", "t_test"])
+
+
+def test_battery_raises_singular_design_before_dividing_by_zero():
+    # x constant within strata: the regression tests have no null model.
+    strata = np.repeat([0, 1], 6)
+    x = np.where(strata == 0, 2.0, 5.0)
+    y = np.random.default_rng(12).standard_normal(12)
+    data = TrialData.from_arrays(strata, np.tile([1, 0], 6), x, y)
+    plan = mc_plan(data, draws=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularDesignError):
+            run_battery(data, plan, ["stratified_diff_means", "lm_permutation"])
+        alone = run_battery(data, plan, ["stratified_diff_means"])
+    assert alone["stratified_diff_means"].p_value == stratified_diff_means(data, plan).p_value

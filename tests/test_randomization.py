@@ -22,8 +22,14 @@ from stratperm.randomization import (
     enumerate_assignments,
     enumerate_within_stratum_permutations,
     monte_carlo_pvalue,
+    orbit_blocks,
     sample_assignments,
     sample_within_stratum_permutations,
+)
+
+CONTIGUOUS = StratumLayout.from_counts((5, 7, 4), (2, 3, 1))
+INTERLEAVED = StratumLayout(
+    sizes=(3, 4, 2), treated=(1, 2, 1), codes=np.array([0, 1, 2, 1, 0, 1, 2, 0, 1])
 )
 
 
@@ -140,6 +146,15 @@ def test_enumerate_permutations_matches_itertools_oracle():
     }
     assert {tuple(r) for r in rows} == oracle
 
+    # stratum 0 at positions 0 and 2, stratum 1 at positions 1, 3 and 4
+    layout = StratumLayout(sizes=(2, 3), treated=(1, 1), codes=np.array([0, 1, 0, 1, 1]))
+    rows = enumerate_within_stratum_permutations(layout)
+    oracle = []
+    for left in itertools.permutations((0, 2)):
+        for right in itertools.permutations((1, 3, 4)):
+            oracle.append((left[0], right[0], left[1], right[1], right[2]))
+    assert [tuple(r) for r in rows] == oracle
+
 
 def test_enumeration_cap_reports_count():
     layout = StratumLayout.from_counts((16, 16), (8, 8))
@@ -190,6 +205,49 @@ def test_within_stratum_permutation_sampling_stays_in_blocks():
     for pos in layout.stratum_positions():
         block = draws[:, pos]
         assert np.all(np.sort(block, axis=1) == pos)
+
+
+def _assignments_by_shuffling_labels(layout, stream, draws):
+    """The sampler assignments were first defined by: each stratum's 0/1
+    labels shuffled with the stream, stratum after stratum."""
+    out = np.empty((draws, layout.n_units), dtype=np.int8)
+    for pos, n, t in zip(layout.stratum_positions(), layout.sizes, layout.treated):
+        block = np.tile(np.repeat(np.int8([1, 0]), (t, n - t)), (draws, 1))
+        stream.permuted(block, axis=1, out=block)
+        out[:, pos] = block
+    return out
+
+
+@pytest.mark.parametrize("layout", [CONTIGUOUS, INTERLEAVED], ids=["contiguous", "interleaved"])
+def test_assignments_are_permutation_draws_cut_at_treated_count(layout):
+    # The test battery derives every assignment from the within-stratum
+    # permutations it draws; this identity keeps the assignment draws those
+    # of the label-shuffling sampler.
+    perms = sample_within_stratum_permutations(layout, derive_stream(31), 500)
+    expected = np.empty(perms.shape, dtype=np.int8)
+    for pos, t in zip(layout.stratum_positions(), layout.treated):
+        expected[:, pos] = np.searchsorted(pos, perms[:, pos]) < t
+    np.testing.assert_array_equal(sample_assignments(layout, derive_stream(31), 500), expected)
+    np.testing.assert_array_equal(
+        _assignments_by_shuffling_labels(layout, derive_stream(31), 500), expected
+    )
+
+
+@pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
+    plan = PermutationPlan(layout=INTERLEAVED, mode=mode, draws=300, master_seed=8)
+    if mode == "exact":
+        z = enumerate_assignments(INTERLEAVED)
+        perms = enumerate_within_stratum_permutations(INTERLEAVED)
+    else:
+        z = sample_assignments(INTERLEAVED, plan.stream(), 300)
+        perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 300)
+    blocks = list(orbit_blocks(plan))
+    assert len(blocks) == INTERLEAVED.n_strata
+    for (pos, treated, units), want in zip(blocks, INTERLEAVED.stratum_positions()):
+        np.testing.assert_array_equal(pos, want)
+        np.testing.assert_array_equal(treated, z[:, pos] == 1)
+        np.testing.assert_array_equal(units, perms[:, pos])
 
 
 def test_sample_assignment_repeatable_from_same_seed():
