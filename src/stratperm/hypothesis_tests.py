@@ -10,12 +10,17 @@ permutation strategies that differ only in *what* is shuffled under the null:
   strata (Freedman-Lane permutes null-model residuals, Kennedy regresses
   treatment on permuted residuals, Manly permutes the outcomes).
 
-All permutation tests run on one (data, plan) share one null engine,
-:func:`run_battery`.  It draws the plan's orbit once, one row block per
-stratum (:func:`~stratperm.randomization.orbit_blocks`), and multiplies each
-block by the columns the requested tests need, one matrix product per
-stratum.  Every null statistic is a sum of those per-stratum products; no
-(draws, units) matrix is built.
+All permutation tests run on one (data, plan) share one null engine.  It
+draws the plan's orbit once, one block of at most 1,024 draws at a time
+(:func:`~stratperm.randomization.orbit_blocks`), and multiplies each
+stratum's part of the block by the columns the requested tests need, one
+matrix product per stratum.  Each test is split into its observed side and
+a null that scores one block from those products; every null statistic is a
+sum of per-stratum products, so no (draws, units) matrix is built, and
+beyond one block only the null statistics are kept.  :func:`run_battery`
+concatenates the blocks' nulls into each test's result; :func:`tally_battery`
+only counts exceedances, block by block, and stops once every test's
+decision at a given alpha is fixed, which is all a power study needs.
 
 The regression tests' nuisance columns are the stratum dummies and the
 baseline.  With u the baseline centred within strata, at unit length, a
@@ -24,12 +29,14 @@ centred sum of squares, which permutation within strata leaves unchanged.
 Its cross product with the projected fixed side is one dot product
 (Frisch-Waugh-Lovell).  A draw whose difference keeps less than
 ``_CANCELLED`` of c may have lost its digits to cancellation and is
-projected explicitly, so singular draws still score 0.  The test suite
-checks the engine against full refits and an explicit-projection oracle.
+projected explicitly, within its block, so singular draws still score 0.
+The test suite checks the engine against full refits and an
+explicit-projection oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +55,7 @@ from .randomization import (
     PermutationPlan,
     PValue,
     StratumLayout,
+    _exceedances,
     monte_carlo_pvalue,
     orbit_blocks,
 )
@@ -67,6 +75,7 @@ __all__ = [
     "npc_combine",
     "exchangeability_diagnostic",
     "run_battery",
+    "tally_battery",
     "METHODS",
 ]
 
@@ -221,19 +230,6 @@ def _row_ss(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
 
 
-def _t_result(method, t_obs, null, plan, df, flags) -> TestResult:
-    t_null, n_deg = null
-    return TestResult(
-        method=method,
-        statistic=t_obs,
-        p_value=monte_carlo_pvalue(t_obs, t_null, plan.mode),
-        df=df,
-        null_summary=_summarize(t_null),
-        flags=flags,
-        degenerate_draws=n_deg,
-    )
-
-
 def _summarize(draws: np.ndarray) -> dict:
     finite = draws[np.isfinite(draws)]
     if finite.size == 0:
@@ -265,8 +261,9 @@ class _Battery:
     """What the tests run on one (data, plan) share.
 
     ``needs`` maps each kind of row to the columns the tests multiply into
-    it.  Fits, columns and products are made on first use, so a test run
-    alone that fails on the observed data fails before anything is drawn.
+    it.  Fits and columns are made on first use, and every test's observed
+    side is scored before anything is drawn, so a test that fails on the
+    observed data fails before the orbit is sampled.
     """
 
     def __init__(self, data: TrialData, plan: PermutationPlan, methods):
@@ -322,61 +319,114 @@ class _Battery:
         xc = self.column("xc")
         return xc / np.linalg.norm(xc)
 
-    def _values(self, rows: str) -> np.ndarray:
+    def values(self, rows: str) -> np.ndarray:
         """The vector the rows re-randomize (assignments) or reorder."""
         if rows == _ASSIGNMENTS:
             return self.data.z.astype(float)
         return self.null_fit.residuals if rows == _RESIDUALS else self.data.y
 
     @cached_property
-    def _products(self) -> dict:
-        """{rows: (column names, per-stratum (B, k) products, their sum)},
-        from one pass over the orbit: one matrix product per stratum and rows."""
-        values = {rows: self._values(rows) for rows in self.needs}
-        per = {rows: [] for rows in self.needs}
-        blocks = orbit_blocks(self.plan, assignments=_ASSIGNMENTS in self.needs,
-                              permutations=bool(self.needs.keys() - {_ASSIGNMENTS}))
-        for pos, treated, units in blocks:
-            for rows, names in self.needs.items():
-                block = treated.astype(float) if rows == _ASSIGNMENTS else values[rows][units]
-                per[rows].append(block @ np.column_stack([self.column(c)[pos] for c in names]))
-        return {rows: (list(names), per[rows], sum(per[rows]))
+    def centred_ss(self) -> dict:
+        """Per kind of row, the sum of squares of its values centred within
+        strata, which every draw shares."""
+        centred = {rows: self._project(self.values(rows), with_x=False) for rows in self.needs}
+        return {rows: float(v @ v) for rows, v in centred.items()}
+
+    @cached_property
+    def stratum_columns(self) -> dict:
+        """Per kind of row, each stratum's (n_j, k) block of the columns the
+        tests multiply into it."""
+        return {rows: [np.column_stack([self.column(c)[pos] for c in names])
+                       for pos in self.positions]
                 for rows, names in self.needs.items()}
 
+    def blocks(self):
+        """The plan's orbit as :class:`_Block` objects, one per block of draws."""
+        for strata in orbit_blocks(self.plan, assignments=_ASSIGNMENTS in self.needs,
+                                   permutations=bool(self.needs.keys() - {_ASSIGNMENTS})):
+            yield _Block(self, strata)
+
+
+class _Block:
+    """One block of draws and its products with the columns the tests need:
+    one matrix product per stratum and kind of row."""
+
+    def __init__(self, battery: _Battery, strata):
+        self.battery = battery
+        self.strata = strata
+        self.products = {}
+        for rows, names in battery.needs.items():
+            values = battery.values(rows)
+            per = [(treated.astype(float) if rows == _ASSIGNMENTS else values[units]) @ cols
+                   for (_, treated, units), cols in zip(strata, battery.stratum_columns[rows])]
+            self.products[rows] = (list(names), per, sum(per))
+
     def per_stratum(self, rows: str, column: str) -> list:
-        names, per, _ = self._products[rows]
+        names, per, _ = self.products[rows]
         return [p[:, names.index(column)] for p in per]
 
     def total(self, rows: str, column: str) -> np.ndarray:
-        names, _, total = self._products[rows]
+        names, _, total = self.products[rows]
         return total[:, names.index(column)]
 
     def _rows(self, rows: str, draws) -> np.ndarray:
-        """The chosen draws of ``rows`` as a (len(draws), n_units) matrix,
-        from a second pass over the orbit."""
-        out = np.empty((len(draws), self.data.n_units))
-        values = self._values(rows)
-        assign = rows == _ASSIGNMENTS
-        for pos, treated, units in orbit_blocks(self.plan, assign, not assign):
-            out[:, pos] = treated[draws] if assign else values[units[draws]]
+        """The chosen draws of ``rows`` as a (len(draws), n_units) matrix."""
+        out = np.empty((len(draws), self.battery.data.n_units))
+        values = self.battery.values(rows)
+        for pos, treated, units in self.strata:
+            out[:, pos] = treated[draws] if rows == _ASSIGNMENTS else values[units[draws]]
         return out
 
     def permuted_side(self, rows: str, fixed: str, with_x: bool = True):
         """FWL pieces of a regression test's permuted side v, per draw: v's
         cross product with the projected ``fixed`` column, and v's projected
         sum of squares."""
+        battery = self.battery
         dot = self.total(rows, fixed).copy()
-        centred = self._project(self._values(rows), with_x=False)
-        c = float(centred @ centred)
+        c = battery.centred_ss[rows]
         ss = np.full(dot.shape, c)
         if with_x:
             ss -= self.total(rows, "u") ** 2
         redo = np.nonzero(ss <= _CANCELLED * c)[0]
         if redo.size:
-            v = self._project(self._rows(rows, redo), with_x)
+            v = battery._project(self._rows(rows, redo), with_x)
             ss[redo] = _row_ss(v)
-            dot[redo] = v @ self.column(fixed)
+            dot[redo] = v @ battery.column(fixed)
         return dot, ss
+
+
+@dataclass(frozen=True, eq=False)
+class _Scored:
+    """A test's observed side, and how it scores each block of draws.
+
+    ``null(block)`` returns the block's null statistics and how many of its
+    draws were degenerate; it is None for the analytic test.  ``finish``,
+    when given, builds the result in place of the add-one p-value on
+    ``tail``.
+    """
+
+    method: str
+    statistic: float
+    null: Callable | None
+    tail: str = "two_sided"
+    df: int | None = None
+    per_stratum: tuple | None = None
+    flags: tuple[str, ...] = ()
+    finish: Callable | None = None
+
+    def result(self, null, degenerate: int, mode: str) -> TestResult:
+        if self.finish is not None:
+            return self.finish(null, degenerate)
+        return TestResult(
+            method=self.method,
+            statistic=self.statistic,
+            p_value=monte_carlo_pvalue(self.statistic, null, mode, tail=self.tail),
+            df=self.df,
+            per_stratum=self.per_stratum,
+            null_summary=_summarize(null),
+            flags=self.flags,
+            degenerate_draws=degenerate,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +445,12 @@ def _ancova_result(stat, fit, flags) -> TestResult:
         null_summary={"reference": f"t({fit.df})"},
         flags=flags,
     )
+
+
+def _ancova(battery: _Battery) -> _Scored:
+    stat, fit, flags = battery.observed
+    return _Scored("ancova", stat, None,
+                   finish=lambda null, degenerate: _ancova_result(stat, fit, flags))
 
 
 def ancova_parametric(data: TrialData, plan: PermutationPlan | None = None) -> TestResult:
@@ -420,48 +476,48 @@ def _stratum_diffs(y, z, strata, n_strata):
     return out
 
 
-def _diff_means(battery: _Battery, method: str, column: str) -> TestResult:
+def _diff_means(battery: _Battery, method: str, column: str) -> _Scored:
     v = battery.column(column)
     z = battery.data.z
     n_t = int(z.sum())
     n_c = battery.data.n_units - n_t
-    observed = float(v[z == 1].mean() - v[z == 0].mean())
-    treated_sums = battery.total(_ASSIGNMENTS, column)
-    draws = treated_sums / n_t - (v.sum() - treated_sums) / n_c
+    v_sum = v.sum()
+
+    def null(block):
+        treated_sums = block.total(_ASSIGNMENTS, column)
+        return treated_sums / n_t - (v_sum - treated_sums) / n_c, 0
+
     per_stratum = _stratum_diffs(v, z, battery.data.strata, battery.data.n_strata)
-    return TestResult(
-        method=method,
-        statistic=observed,
-        p_value=monte_carlo_pvalue(observed, draws, battery.plan.mode),
-        per_stratum=tuple(float(d) for d in per_stratum),
-        null_summary=_summarize(draws),
-    )
+    return _Scored(method, float(v[z == 1].mean() - v[z == 0].mean()), null,
+                   per_stratum=tuple(float(d) for d in per_stratum))
 
 
-def _sum_abs(battery: _Battery) -> TestResult:
+def _sum_abs(battery: _Battery) -> _Scored:
     data, layout = battery.data, battery.plan.layout
-    y = data.y
-    per_stratum = _stratum_diffs(y, data.z, data.strata, data.n_strata)
-    observed = float(np.abs(per_stratum).sum())
-    total = 0.0
-    for pos, n_j, t_j, sums in zip(battery.positions, layout.sizes, layout.treated,
-                                   battery.per_stratum(_ASSIGNMENTS, "y")):
-        total += np.abs(sums / t_j - (y[pos].sum() - sums) / (n_j - t_j))
-    return TestResult(
-        method="stratified_sum_abs",
-        statistic=observed,
-        p_value=monte_carlo_pvalue(observed, total, battery.plan.mode, tail="right"),
-        per_stratum=tuple(float(d) for d in per_stratum),
-        null_summary=_summarize(total),
-    )
+    y_sums = [data.y[pos].sum() for pos in battery.positions]
+    per_stratum = _stratum_diffs(data.y, data.z, data.strata, data.n_strata)
+
+    def null(block):
+        total = 0.0
+        for y_sum, n_j, t_j, sums in zip(y_sums, layout.sizes, layout.treated,
+                                         block.per_stratum(_ASSIGNMENTS, "y")):
+            total += np.abs(sums / t_j - (y_sum - sums) / (n_j - t_j))
+        return total, 0
+
+    return _Scored("stratified_sum_abs", float(np.abs(per_stratum).sum()), null,
+                   tail="right", per_stratum=tuple(float(d) for d in per_stratum))
 
 
-def _lm_permutation(battery: _Battery) -> TestResult:
+def _lm_permutation(battery: _Battery) -> _Scored:
     t_obs, fit, flags = battery.observed
-    dot, ss = battery.permuted_side(_ASSIGNMENTS, "y_t")
     y_t = battery.column("y_t")
-    null = _fwl_t(dot, ss, float(y_t @ y_t), fit.df, float(battery.data.z.sum()))
-    return _t_result("lm_permutation", t_obs, null, battery.plan, fit.df, flags)
+    resp_ss, raw_ss = float(y_t @ y_t), float(battery.data.z.sum())
+
+    def null(block):
+        dot, ss = block.permuted_side(_ASSIGNMENTS, "y_t")
+        return _fwl_t(dot, ss, resp_ss, fit.df, raw_ss)
+
+    return _Scored("lm_permutation", t_obs, null, df=fit.df, flags=flags)
 
 
 def stratified_diff_means(data: TrialData, plan: PermutationPlan) -> TestResult:
@@ -497,7 +553,7 @@ def lm_permutation(data: TrialData, plan: PermutationPlan) -> TestResult:
 # residual / outcome permutation tests
 
 
-def _permuted_response(battery: _Battery, method: str, rows: str) -> TestResult:
+def _permuted_response(battery: _Battery, method: str, rows: str) -> _Scored:
     """Refit the full model to each permuted response, design held fixed.
 
     The response is the null fit plus its residuals permuted within strata
@@ -505,13 +561,17 @@ def _permuted_response(battery: _Battery, method: str, rows: str) -> TestResult:
     fit lies in the nuisance span, so only the permuted part is projected.
     """
     t_obs, fit, flags = battery.observed
-    dot, ss = battery.permuted_side(rows, "z_t")
     z_t = battery.column("z_t")
-    null = _fwl_t(dot, float(z_t @ z_t), ss, fit.df, float(battery.data.z.sum()))
-    return _t_result(method, t_obs, null, battery.plan, fit.df, flags)
+    target_ss, raw_ss = float(z_t @ z_t), float(battery.data.z.sum())
+
+    def null(block):
+        dot, ss = block.permuted_side(rows, "z_t")
+        return _fwl_t(dot, target_ss, ss, fit.df, raw_ss)
+
+    return _Scored(method, t_obs, null, df=fit.df, flags=flags)
 
 
-def _kennedy(battery: _Battery) -> TestResult:
+def _kennedy(battery: _Battery) -> _Scored:
     data = battery.data
     eps = battery.null_fit.residuals
     dummies = np.equal.outer(data.strata, np.arange(data.n_strata)).astype(float)
@@ -537,11 +597,15 @@ def _kennedy(battery: _Battery) -> TestResult:
         t_obs = 0.0
         flags = ("degenerate_null_residuals",)
         df = data.n_units - data.n_strata - 1
-    # Kennedy's nuisance columns are the stratum dummies alone.
-    dot, ss = battery.permuted_side(_RESIDUALS, "zc", with_x=False)
     zc = battery.column("zc")
-    null = _fwl_t(dot, ss, float(zc @ zc), df, float(eps @ eps))
-    return _t_result("kennedy", t_obs, null, battery.plan, df, flags)
+    resp_ss, raw_ss = float(zc @ zc), float(eps @ eps)
+
+    def null(block):
+        # Kennedy's nuisance columns are the stratum dummies alone.
+        dot, ss = block.permuted_side(_RESIDUALS, "zc", with_x=False)
+        return _fwl_t(dot, ss, resp_ss, df, raw_ss)
+
+    return _Scored("kennedy", t_obs, null, df=df, flags=flags)
 
 
 def freedman_lane(data: TrialData, plan: PermutationPlan) -> TestResult:
@@ -635,7 +699,7 @@ def npc_combine(
     return NpcResult(statistic=stat, p_value=p, partial_p=obs_p, combiner=combiner)
 
 
-def _exchangeability(battery: _Battery, combiner: str = "fisher") -> TestResult:
+def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
     data = battery.data
     eps = battery.null_fit.residuals
     j_total = data.n_strata
@@ -654,24 +718,30 @@ def _exchangeability(battery: _Battery, combiner: str = "fisher") -> TestResult:
             scale[j] = 1.0 / denom
             observed[j] = float((eps[pos] @ battery.column("xc")[pos]) * scale[j])
 
-    per = battery.per_stratum(_RESIDUALS, "xc")
-    draws = np.zeros((per[0].shape[0], j_total))
-    for j in range(j_total):
-        if scale[j] > 0.0:
-            draws[:, j] = per[j] * scale[j]
+    def null(block):
+        per = block.per_stratum(_RESIDUALS, "xc")
+        draws = np.zeros((per[0].shape[0], j_total))
+        for j in range(j_total):
+            if scale[j] > 0.0:
+                draws[:, j] = per[j] * scale[j]
+        return draws, 0
 
-    npc = npc_combine(observed, draws, combiner=combiner, tail="two_sided")
-    return TestResult(
-        method="exchangeability",
-        statistic=npc.statistic,
-        p_value=npc.p_value,
-        per_stratum=tuple(float(v) for v in npc.partial_p),
-        null_summary={
-            "stratum_correlations": [float(v) for v in observed],
-            "combiner": combiner,
-        },
-        flags=tuple(flags),
-    )
+    def finish(draws, degenerate):
+        npc = npc_combine(observed, draws, combiner=combiner, tail="two_sided")
+        return TestResult(
+            method="exchangeability",
+            statistic=npc.statistic,
+            p_value=npc.p_value,
+            per_stratum=tuple(float(v) for v in npc.partial_p),
+            null_summary={
+                "stratum_correlations": [float(v) for v in observed],
+                "combiner": combiner,
+            },
+            flags=tuple(flags),
+        )
+
+    # The combined statistic needs every draw, so it is left to finish.
+    return _Scored("exchangeability", float("nan"), null, finish=finish)
 
 
 def exchangeability_diagnostic(
@@ -687,7 +757,9 @@ def exchangeability_diagnostic(
     nonparametrically.  Strata where either column is constant contribute a
     partial p of 1 and are flagged.
     """
-    return _exchangeability(_Battery(data, plan, ("exchangeability",)), combiner)
+    battery = _Battery(data, plan, ("exchangeability",))
+    return _run(battery, {"exchangeability": _exchangeability(battery, combiner)})[
+        "exchangeability"]
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +767,7 @@ def exchangeability_diagnostic(
 
 # Each test's scorer, and the columns it multiplies into each kind of row.
 _TESTS = {
-    "ancova": (lambda b: _ancova_result(*b.observed), {}),
+    "ancova": (_ancova, {}),
     "stratified_diff_means": (
         lambda b: _diff_means(b, "stratified_diff_means", "y"), {_ASSIGNMENTS: ("y",)}),
     "stratified_sum_abs": (_sum_abs, {_ASSIGNMENTS: ("y",)}),
@@ -712,8 +784,33 @@ _TESTS = {
 }
 
 
+def _observed_sides(data: TrialData, plan: PermutationPlan, methods, known):
+    """The battery for ``methods`` and each test's observed side."""
+    unknown = [m for m in methods if m not in known]
+    if unknown:
+        raise ValueError(f"unknown tests {unknown}; choose from {sorted(known)}")
+    battery = _Battery(data, plan, methods)
+    return battery, {m: _TESTS[m][0](battery) for m in methods}
+
+
+def _run(battery: _Battery, scored: dict) -> dict:
+    """Every test's result from one pass over the orbit, block by block."""
+    drawn = {m: s for m, s in scored.items() if s.null is not None}
+    nulls = {m: [] for m in drawn}
+    degenerate = dict.fromkeys(drawn, 0)
+    if drawn:
+        for block in battery.blocks():
+            for m, s in drawn.items():
+                null, bad = s.null(block)
+                nulls[m].append(null)
+                degenerate[m] += bad
+    return {m: s.result(np.concatenate(nulls[m]) if m in drawn else None,
+                        degenerate.get(m, 0), battery.plan.mode)
+            for m, s in scored.items()}
+
+
 def _run_one(data: TrialData, plan: PermutationPlan, method: str) -> TestResult:
-    return _TESTS[method][0](_Battery(data, plan, (method,)))
+    return run_battery(data, plan, (method,))[method]
 
 
 def run_battery(data: TrialData, plan: PermutationPlan, methods) -> dict:
@@ -724,12 +821,44 @@ def run_battery(data: TrialData, plan: PermutationPlan, methods) -> dict:
     function returns for the same (data, plan), because every test run with
     one plan sees the same draws.
     """
-    methods = list(methods)
-    unknown = [m for m in methods if m not in _TESTS]
-    if unknown:
-        raise ValueError(f"unknown tests {unknown}; choose from {sorted(_TESTS)}")
-    battery = _Battery(data, plan, methods)
-    return {m: _TESTS[m][0](battery) for m in methods}
+    return _run(*_observed_sides(data, plan, list(methods), _TESTS))
+
+
+def tally_battery(data: TrialData, plan: PermutationPlan, methods, stop_at: int) -> dict:
+    """Each test's p-value from as few draws as decide it, for power studies.
+
+    Counts each permutation test's exceedances block by block, with the
+    comparison :func:`~stratperm.randomization.monte_carlo_pvalue` uses, and
+    stops counting a test once its count k reaches ``stop_at``; drawing
+    stops when every test has.  ``plan`` is a Monte-Carlo plan of B draws
+    and ``methods`` are names from :data:`METHODS`.
+
+    Returns ``{method: (p, draws used)}``: p = (k + 1) / (B + 1) for a
+    permutation test and the analytic p, with 0 draws, for ANCOVA.  A test
+    that used all B draws has the p-value :func:`run_battery` gives for the
+    same (data, plan); a test stopped earlier has a lower bound on it.  With
+    ``stop_at`` the smallest k whose (k + 1) / (B + 1) is not rejected, a
+    stopped test is therefore not rejected, as in the full run.
+    """
+    if plan.mode != "monte_carlo":
+        raise ValueError("tally_battery needs a monte_carlo plan")
+    battery, scored = _observed_sides(data, plan, list(methods), METHODS)
+    counts = {m: 0 for m, s in scored.items() if s.null is not None}
+    used = dict.fromkeys(counts, 0)
+    live = [m for m in counts if counts[m] < stop_at]
+    blocks = battery.blocks()
+    while live:
+        block = next(blocks, None)
+        if block is None:
+            break
+        for m in live:
+            null = scored[m].null(block)[0]
+            counts[m] += _exceedances(scored[m].statistic, null, scored[m].tail)
+            used[m] += null.shape[0]
+        live = [m for m in live if counts[m] < stop_at]
+    return {m: ((counts[m] + 1) / (plan.draws + 1), used[m]) if m in counts
+            else (s.result(None, 0, plan.mode).p_value.value, 0)
+            for m, s in scored.items()}
 
 
 # Registry used by the simulation engine and the command line.  All entries

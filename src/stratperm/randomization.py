@@ -8,12 +8,17 @@ the test battery:
 * within-stratum permutations -- reorderings of an arbitrary vector, n_j!
   per stratum (used by tests that shuffle residuals or outcomes).
 
-The test battery reads a plan's draws from :func:`orbit_blocks`, one row
-block per stratum, so that no (draws, units) matrix need exist.  A
-Monte-Carlo orbit is sampled once and serves both kinds: a uniform
-within-stratum permutation, cut at the stratum's treated count, is a
-uniform assignment.  Exact orbits are Cartesian products of per-stratum
-enumerations, built without a loop over the product's rows.
+The test battery reads a plan's draws from :func:`orbit_blocks`, one block
+of draws at a time, each block split by stratum, so that no (draws, units)
+matrix need exist.  A Monte-Carlo orbit is sampled once and serves both
+kinds: a uniform within-stratum permutation, cut at the stratum's treated
+count, is a uniform assignment.  It is drawn in blocks of 1,024 draws from
+the plan's one stream, block after block and, within a block, stratum after
+stratum (:data:`DRAW_SCHEME`).  Because the stream is consumed in order, the
+first m blocks are the same whether or not later blocks are drawn, which is
+what lets a power study stop drawing early.  Exact orbits are one block, the
+Cartesian product of per-stratum enumerations, built without a loop over the
+product's rows.
 
 Randomness is derived, never passed around as global state: a master seed and
 an index tuple give an independent stream via ``SeedSequence`` spawn keys, so
@@ -43,6 +48,7 @@ __all__ = [
     "sample_within_stratum_permutations",
     "orbit_blocks",
     "monte_carlo_pvalue",
+    "DRAW_SCHEME",
 ]
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -50,6 +56,17 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 # Absolute tie tolerance when comparing permuted statistics to the observed
 # one; draws this close to the observed value count as exceedances.
 TIE_TOLERANCE = 1e-12
+
+# Monte-Carlo draws are made and scored in blocks of at most this many.
+_BLOCK_DRAWS = 1024
+
+# How a Monte-Carlo orbit is drawn, as recorded in report and simulation
+# provenance.
+DRAW_SCHEME = {
+    "sampler": "numpy Generator.permuted within strata",
+    "block_draws": _BLOCK_DRAWS,
+    "order": "block-major: one stream, block after block, strata in order within a block",
+}
 
 
 def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -135,11 +152,12 @@ class StratumLayout:
 class PermutationPlan:
     """How a permutation null is to be computed.
 
-    mode "exact" enumerates the whole orbit (subject to ``enumeration_cap``);
-    mode "monte_carlo" samples ``draws`` re-randomizations from the stream
-    derived from ``master_seed``.  Every test run with one plan sees the same
-    draws; in monte_carlo mode the assignments are cut from the sampled
-    within-stratum permutations (see :func:`orbit_blocks`).
+    mode "exact" enumerates the whole orbit (subject to ``enumeration_cap``)
+    as one block; mode "monte_carlo" samples ``draws`` re-randomizations from
+    the stream derived from ``master_seed``, in blocks of 1,024 draws.  Every
+    test run with one plan sees the same draws; in monte_carlo mode the
+    assignments are cut from the sampled within-stratum permutations, and the
+    first blocks do not depend on how many follow (see :func:`orbit_blocks`).
     """
 
     layout: StratumLayout
@@ -216,13 +234,18 @@ def _product(layout: StratumLayout, blocks: list, dtype) -> np.ndarray:
     return out
 
 
-def _sampled_units(positions, stream: np.random.Generator, draws: int):
-    """Per stratum, ``draws`` uniform reorderings of its unit positions,
-    drawn from ``stream`` stratum after stratum."""
-    for pos in positions:
-        block = np.tile(pos, (draws, 1))
-        stream.permuted(block, axis=1, out=block)
-        yield block
+def _sampled_blocks(positions, stream: np.random.Generator, draws: int):
+    """``draws`` uniform reorderings of each stratum's unit positions, in
+    blocks of at most ``_BLOCK_DRAWS``: per block, one (size, n_j) array per
+    stratum, drawn from ``stream`` stratum after stratum, block after block."""
+    for start in range(0, draws, _BLOCK_DRAWS):
+        size = min(_BLOCK_DRAWS, draws - start)
+        units = []
+        for pos in positions:
+            block = np.tile(pos, (size, 1))
+            stream.permuted(block, axis=1, out=block)
+            units.append(block)
+        yield units
 
 
 def enumerate_assignments(layout: StratumLayout, cap: int | None = None) -> np.ndarray:
@@ -254,6 +277,20 @@ def enumerate_within_stratum_permutations(
     return _product(layout, blocks, np.intp)
 
 
+def _sampled(layout: StratumLayout, stream, draws: int, assignments: bool):
+    """The blocks of :func:`_sampled_blocks` stacked into one matrix of
+    assignments (cut at the treated counts) or of permutations."""
+    out = np.empty((draws, layout.n_units), dtype=np.int8 if assignments else np.intp)
+    positions = layout.stratum_positions()
+    start = 0
+    for units in _sampled_blocks(positions, stream, draws):
+        rows = slice(start, start + units[0].shape[0])
+        for pos, t, block in zip(positions, layout.treated, units):
+            out[rows, pos] = block < pos[t] if assignments else block
+        start = rows.stop
+    return out
+
+
 def sample_assignments(
     layout: StratumLayout, stream: np.random.Generator, draws: int
 ) -> np.ndarray:
@@ -263,54 +300,66 @@ def sample_assignments(
     permutations drawn from the same stream moves each stratum's first t_j
     units (the label-shuffling sampler, drawn through the permutations).
     """
-    out = np.empty((draws, layout.n_units), dtype=np.int8)
-    positions = layout.stratum_positions()
-    for pos, t, units in zip(positions, layout.treated,
-                             _sampled_units(positions, stream, draws)):
-        out[:, pos] = units < pos[t]
-    return out
+    return _sampled(layout, stream, draws, assignments=True)
 
 
 def sample_within_stratum_permutations(
     layout: StratumLayout, stream: np.random.Generator, draws: int
 ) -> np.ndarray:
-    """(draws, n_units) index matrix of uniform within-stratum reorderings."""
-    out = np.empty((draws, layout.n_units), dtype=np.intp)
-    positions = layout.stratum_positions()
-    for pos, units in zip(positions, _sampled_units(positions, stream, draws)):
-        out[:, pos] = units
-    return out
+    """(draws, n_units) index matrix of uniform within-stratum reorderings,
+    drawn in the block-major order of :data:`DRAW_SCHEME`."""
+    return _sampled(layout, stream, draws, assignments=False)
 
 
 def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
                  permutations: bool = True):
-    """The draws of one plan, one row block per stratum.
+    """The draws of one plan, one block of draws at a time.
 
-    Yields each stratum's unit positions ``pos`` and two (B, n_j) blocks:
-    draw b treats the unit at ``pos[i]`` where ``treated[b, i]``, and
-    ``values[units[b]]`` is draw b's reordering of ``values[pos]``.
-    ``treated`` is None unless ``assignments``, and exact ``units`` unless
-    ``permutations``.  One stratum's blocks are held at a time.
+    Each block is a list with one entry per stratum: the stratum's unit
+    positions ``pos`` and two (b, n_j) arrays, where draw b treats the unit
+    at ``pos[i]`` where ``treated[b, i]``, and ``values[units[b]]`` is draw
+    b's reordering of ``values[pos]``.  ``treated`` is None unless
+    ``assignments``, and ``units`` unless ``permutations``.
 
-    Monte-Carlo blocks are the rows that
-    :func:`sample_within_stratum_permutations` and :func:`sample_assignments`
-    draw from ``plan.stream()``, sampled once: positions ascend, so
-    ``units < pos[t_j]`` marks the units that receive the stratum's first
-    t_j units.  Exact blocks are the columns of :func:`enumerate_assignments`
-    and :func:`enumerate_within_stratum_permutations`.
+    Monte-Carlo blocks hold at most 1,024 draws.  Stacked in order they are
+    the rows that :func:`sample_within_stratum_permutations` and
+    :func:`sample_assignments` draw from ``plan.stream()``, sampled once:
+    positions ascend, so ``units < pos[t_j]`` marks the units that receive
+    the stratum's first t_j units.  An exact orbit is one block, the
+    columns of :func:`enumerate_assignments` and
+    :func:`enumerate_within_stratum_permutations`, which are dropped once
+    cut into strata; its two arrays have the two orbits' lengths.
     """
-    layout, cap = plan.layout, plan.enumeration_cap
+    layout = plan.layout
     positions = layout.stratum_positions()
     if plan.mode == "monte_carlo":
-        sampled = _sampled_units(positions, plan.stream(), plan.draws)
-        for pos, t, units in zip(positions, layout.treated, sampled):
-            yield pos, units < pos[t] if assignments else None, units
+        for units in _sampled_blocks(positions, plan.stream(), plan.draws):
+            yield [(pos, block < pos[t] if assignments else None,
+                    block if permutations else None)
+                   for pos, t, block in zip(positions, layout.treated, units)]
         return
+    cap = plan.enumeration_cap
     treated = enumerate_assignments(layout, cap) if assignments else None
     units = enumerate_within_stratum_permutations(layout, cap) if permutations else None
-    for pos in positions:
-        yield (pos, None if treated is None else treated[:, pos] == 1,
-               None if units is None else units[:, pos])
+    block = [(pos, None if treated is None else treated[:, pos] == 1,
+              None if units is None else units[:, pos]) for pos in positions]
+    del treated, units  # the block holds its strata's copies
+    yield block
+
+
+def _exceedances(observed: float, draws: np.ndarray, tail: str,
+                 tie_tolerance: float = TIE_TOLERANCE) -> int:
+    """Number of draws at least as extreme as ``observed`` (see
+    :func:`monte_carlo_pvalue`); the comparison that function and the power
+    study's tally share."""
+    observed = float(observed)
+    if not math.isfinite(observed):
+        raise ValueError("observed statistic must be finite")
+    if tail == "two_sided":
+        return int(np.count_nonzero(np.abs(draws) >= abs(observed) - tie_tolerance))
+    if tail == "right":
+        return int(np.count_nonzero(draws >= observed - tie_tolerance))
+    raise ValueError(f"unknown tail {tail!r}")
 
 
 def monte_carlo_pvalue(
@@ -329,15 +378,7 @@ def monte_carlo_pvalue(
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 1 or draws.size == 0:
         raise ValueError("need a non-empty vector of null draws")
-    observed = float(observed)
-    if not math.isfinite(observed):
-        raise ValueError("observed statistic must be finite")
-    if tail == "two_sided":
-        k = int(np.count_nonzero(np.abs(draws) >= abs(observed) - tie_tolerance))
-    elif tail == "right":
-        k = int(np.count_nonzero(draws >= observed - tie_tolerance))
-    else:
-        raise ValueError(f"unknown tail {tail!r}")
+    k = _exceedances(observed, draws, tail, tie_tolerance)
     b = draws.size
     if mode == "monte_carlo":
         return PValue(value=(k + 1) / (b + 1), exceedances=k, draws=b, mode=mode)

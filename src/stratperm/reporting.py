@@ -17,10 +17,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .hypothesis_tests import METHODS, TrialData, exchangeability_diagnostic
-from .randomization import PermutationPlan, derive_seed
+from .randomization import DRAW_SCHEME, PermutationPlan, derive_seed
 
 __all__ = [
     "TrialDataError",
@@ -54,6 +55,18 @@ def _atomic_write(path, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _engine_provenance() -> dict:
+    """The engine, how it draws Monte-Carlo orbits, and the numerical
+    libraries behind a result; recorded in reports and simulation output."""
+    return {
+        "engine": "stratperm",
+        "version": __version__,
+        "draw_scheme": dict(DRAW_SCHEME),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 class TrialDataError(ValueError):
@@ -360,6 +373,8 @@ def run_analysis(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     rows = []
     exchangeability = []
     for e_index, (name, data) in enumerate(dataset.endpoints.items()):
@@ -391,8 +406,7 @@ def run_analysis(
                 _exchangeability_row(name, data, e_index, permutations, master_seed)
             )
     provenance = {
-        "engine": "stratperm",
-        "version": __version__,
+        **_engine_provenance(),
         "seed": master_seed,
         "permutations": permutations,
         "alpha": alpha,

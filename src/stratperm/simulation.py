@@ -5,6 +5,11 @@ assigns treatment within strata, runs the requested tests, and tallies
 rejection rates.  Replication r derives all of its randomness from
 (master_seed, r), so the same seed gives bit-identical results no matter how
 replications are scheduled across worker processes.
+
+A power study needs only whether each p-value is at most alpha, so a
+replication stops drawing once no remaining draw can change any test's
+decision (:func:`~stratperm.hypothesis_tests.tally_battery`; Besag and
+Clifford 1991).  The rejection counts are those of a run over every draw.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypothesis_tests import METHODS, TrialData, run_battery
+from .hypothesis_tests import METHODS, TrialData, tally_battery
 from .randomization import (
     PermutationPlan,
     StratumLayout,
@@ -25,7 +30,7 @@ from .randomization import (
     derive_stream,
     sample_assignments,
 )
-from .reporting import _atomic_write
+from .reporting import _atomic_write, _engine_provenance
 
 __all__ = [
     "FAMILIES",
@@ -153,9 +158,22 @@ class PowerEstimate:
 
 @dataclass(frozen=True, eq=False)
 class PowerStudyResult:
+    """Every replication's p-values, the draws behind them, and the tallies.
+
+    ``p_values`` and ``draws_used`` are (replications, tests) arrays.  A
+    permutation test's p-value is (k + 1) / (B + 1), with k its exceedances
+    among the first ``draws_used`` of the B = ``config.permutations`` draws.
+    Where ``draws_used`` equals B it is the full-run p-value; where it is
+    smaller the test was stopped once its decision was fixed, and the value
+    is a lower bound on the full-run p-value that already lies above alpha.
+    Rejections, p <= alpha, are therefore those of a full run.  The analytic
+    ANCOVA test uses 0 draws.
+    """
+
     config: ScenarioConfig
     estimates: dict
     p_values: np.ndarray
+    draws_used: np.ndarray
     sample_ates: np.ndarray
 
     @property
@@ -299,8 +317,8 @@ def generate_population(config: ScenarioConfig, stream: np.random.Generator) -> 
 # the replication engine
 
 
-def _one_replication(config: ScenarioConfig, index: int):
-    """p-value per test plus the sample ATE for replication ``index``."""
+def _replication_inputs(config: ScenarioConfig, index: int):
+    """Replication ``index``'s trial, its permutation plan and its sample ATE."""
     if config.master_seed is None:
         raise ValueError("scenario has no master seed")
     stream = derive_stream(config.master_seed, index)
@@ -315,17 +333,40 @@ def _one_replication(config: ScenarioConfig, index: int):
         draws=config.permutations,
         master_seed=derive_seed(config.master_seed, index, 1),
     )
-    results = run_battery(data, plan, config.tests)
-    return np.array([results[name].p_value.value for name in config.tests]), pop.sample_ate
+    return data, plan, pop.sample_ate
+
+
+def _stop_count(alpha: float, permutations: int) -> int:
+    """The smallest exceedance count k that is not rejected: the first k
+    with (k + 1) / (B + 1) > alpha + slack, found by testing that very
+    expression (it grows with k); B + 1 if there is none."""
+    lo, hi = 0, permutations + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid + 1) / (permutations + 1) > alpha + _ALPHA_SLACK:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _score_replication(config: ScenarioConfig, data: TrialData, plan: PermutationPlan):
+    """p-value and draws used per test, each test stopped once decided."""
+    tallies = tally_battery(data, plan, config.tests,
+                            _stop_count(config.alpha, config.permutations))
+    return (np.array([tallies[name][0] for name in config.tests]),
+            np.array([tallies[name][1] for name in config.tests]))
 
 
 def _replication_block(args):
     config, indices = args
     block_p = np.empty((len(indices), len(config.tests)))
+    block_draws = np.empty((len(indices), len(config.tests)), dtype=np.int64)
     block_ate = np.empty(len(indices))
     for row, index in enumerate(indices):
-        block_p[row], block_ate[row] = _one_replication(config, int(index))
-    return indices, block_p, block_ate
+        data, plan, block_ate[row] = _replication_inputs(config, int(index))
+        block_p[row], block_draws[row] = _score_replication(config, data, plan)
+    return indices, block_p, block_draws, block_ate
 
 
 def _usable_cpus() -> int:
@@ -350,6 +391,7 @@ def run_power_study(
     r = config.replications
     k = len(config.tests)
     p_values = np.empty((r, k))
+    draws_used = np.empty((r, k), dtype=np.int64)
     ates = np.empty(r)
     indices = np.arange(r)
     # Never more processes than usable CPUs or replications; the blocks below
@@ -359,8 +401,9 @@ def run_power_study(
     if workers <= 1:
         done = 0
         for block in blocks:
-            _, bp, ba = _replication_block((config, block))
+            _, bp, bd, ba = _replication_block((config, block))
             p_values[block] = bp
+            draws_used[block] = bd
             ates[block] = ba
             done += block.size
             if progress is not None:
@@ -368,10 +411,11 @@ def run_power_study(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = 0
-            for idx, bp, ba in pool.map(
+            for idx, bp, bd, ba in pool.map(
                 _replication_block, [(config, b) for b in blocks]
             ):
                 p_values[idx] = bp
+                draws_used[idx] = bd
                 ates[idx] = ba
                 done += len(idx)
                 if progress is not None:
@@ -389,9 +433,8 @@ def run_power_study(
             rate=rate,
             std_error=float(np.sqrt(rate * (1.0 - rate) / r)),
         )
-    return PowerStudyResult(
-        config=config, estimates=estimates, p_values=p_values, sample_ates=ates
-    )
+    return PowerStudyResult(config=config, estimates=estimates, p_values=p_values,
+                            draws_used=draws_used, sample_ates=ates)
 
 
 def power_ratio_table(result: PowerStudyResult, reference: str = "ancova") -> dict:
@@ -480,7 +523,8 @@ def write_results_csv(results, path) -> None:
 
 
 def write_results_json(results, path) -> None:
-    """Config echo plus full-precision estimates, written atomically."""
+    """Config echo plus full-precision estimates, each with the mean draws a
+    replication used, and the draw scheme; written atomically."""
     payload = []
     for res in results:
         cfg = dataclasses.asdict(res.config)
@@ -489,9 +533,12 @@ def write_results_json(results, path) -> None:
                 "config": cfg,
                 "mean_sample_ate": res.mean_sample_ate,
                 "estimates": {
-                    name: dataclasses.asdict(est)
+                    name: dict(dataclasses.asdict(est), mean_draws=float(
+                        res.draws_used[:, res.config.tests.index(name)].mean()))
                     for name, est in res.estimates.items()
                 },
             }
         )
-    _atomic_write(path, json.dumps({"results": payload}, indent=2, sort_keys=True) + "\n")
+    text = json.dumps({"provenance": _engine_provenance(), "results": payload},
+                      indent=2, sort_keys=True)
+    _atomic_write(path, text + "\n")

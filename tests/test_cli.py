@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from stratperm.cli import main
+from stratperm.randomization import DRAW_SCHEME
 from stratperm.reporting import TrialDataset, write_trial_csv
 
 
@@ -134,6 +136,36 @@ def test_analyze_unknown_method_exits_2(trial_csv, capsys):
     assert "anova" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "0", "1", "-3"])
+def test_analyze_rejects_alpha_outside_the_unit_interval(trial_csv, tmp_path, capsys, alpha):
+    out = tmp_path / "r.json"
+    code = main(["analyze", "--input", str(trial_csv), "--permutations", "99",
+                 f"--alpha={alpha}", "--out", str(out)])
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outputs_record_the_draw_scheme_and_libraries(trial_csv, tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["analyze", "--input", str(trial_csv), "--permutations", "99",
+                 "--out", str(report)]) == 0
+    blob = tmp_path / "power.json"
+    scenario = scenario_file(tmp_path, gamma=0.0, permutations=2500)
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "p.csv"),
+                 "--json", str(blob)]) == 0
+    expected = {"draw_scheme": DRAW_SCHEME, "numpy": np.__version__,
+                "scipy": scipy.__version__}
+    assert DRAW_SCHEME["block_draws"] == 1024
+    payload = json.loads(blob.read_text())
+    for provenance in (json.loads(report.read_text())["provenance"], payload["provenance"]):
+        assert {key: provenance[key] for key in expected} == expected
+    estimates = payload["results"][0]["estimates"]
+    assert estimates["ancova"]["mean_draws"] == 0.0
+    # Null replications stop once their decision is fixed.
+    assert 0 < estimates["stratified_diff_means"]["mean_draws"] < 2500
+
+
 def test_analyze_constant_stratum_baseline_exits_3(tmp_path, capsys):
     # a baseline collinear with the stratum dummies makes the design singular
     strata = np.repeat(["a", "b"], 4)
@@ -244,6 +276,19 @@ def test_simulate_workers_do_not_change_results(tmp_path):
         == 0
     )
     assert serial.read_text() == parallel.read_text()
+
+
+def test_simulate_stopping_does_not_depend_on_workers(tmp_path):
+    scenario = scenario_file(tmp_path, "stop.json", seed=17, gamma=0.0, replications=12,
+                             permutations=2500,
+                             tests=["ancova", "stratified_diff_means", "freedman_lane"])
+    outputs = []
+    for workers in ("1", "2"):
+        csv_out, json_out = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.json"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(csv_out),
+                     "--json", str(json_out), "--workers", workers]) == 0
+        outputs.append(csv_out.read_bytes() + json_out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_rejects_bad_worker_count(tmp_path, capsys):

@@ -8,6 +8,7 @@ shortcuts in the implementation must agree with those full refits exactly
 explicit-projection oracle that builds each test's whole (draws, units)
 matrix, and a battery call against the separate test calls.
 """
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -624,18 +625,20 @@ def interleaved_trial(seed, sizes):
     return TrialData.from_arrays(strata, z, x, y)
 
 
+# (mode, seed, stratum sizes, Monte-Carlo draws); 2,500 draws span three blocks.
 PARITY_CASES = [
-    ("monte_carlo", 1, (9, 11, 10)),
-    ("monte_carlo", 2, (4, 7, 5, 6)),
-    ("exact", 3, (4, 5, 4)),
+    ("monte_carlo", 1, (9, 11, 10), 400),
+    ("monte_carlo", 2, (4, 7, 5, 6), 400),
+    ("exact", 3, (4, 5, 4), 400),
+    ("monte_carlo", 4, (9, 11, 10), 2500),
 ]
 
 
-@pytest.mark.parametrize("mode,seed,sizes", PARITY_CASES,
-                         ids=[f"{m}-{s}" for m, s, _ in PARITY_CASES])
-def test_engine_matches_explicit_projection_oracle(mode, seed, sizes):
+@pytest.mark.parametrize("mode,seed,sizes,draws", PARITY_CASES,
+                         ids=[f"{m}-{s}" for m, s, _, _ in PARITY_CASES])
+def test_engine_matches_explicit_projection_oracle(mode, seed, sizes, draws):
     data = interleaved_trial(seed, sizes)
-    plan = PermutationPlan(layout=data.layout, mode=mode, draws=400, master_seed=seed)
+    plan = PermutationPlan(layout=data.layout, mode=mode, draws=draws, master_seed=seed)
     for method in [m for m in METHODS if m != "ancova"]:
         result = METHODS[method](data, plan)
         statistic, draws, degenerate = _oracle(data, plan, method)
@@ -658,11 +661,11 @@ def test_engine_matches_explicit_projection_oracle(mode, seed, sizes):
     assert result.per_stratum == tuple(npc.partial_p)
 
 
-@pytest.mark.parametrize("mode,seed,sizes", PARITY_CASES,
-                         ids=[f"{m}-{s}" for m, s, _ in PARITY_CASES])
-def test_one_battery_call_equals_the_separate_calls(mode, seed, sizes):
+@pytest.mark.parametrize("mode,seed,sizes,draws", PARITY_CASES,
+                         ids=[f"{m}-{s}" for m, s, _, _ in PARITY_CASES])
+def test_one_battery_call_equals_the_separate_calls(mode, seed, sizes, draws):
     data = interleaved_trial(seed, sizes)
-    plan = PermutationPlan(layout=data.layout, mode=mode, draws=400, master_seed=seed)
+    plan = PermutationPlan(layout=data.layout, mode=mode, draws=draws, master_seed=seed)
     names = list(METHODS) + ["exchangeability"]
     together = run_battery(data, plan, names)
     assert list(together) == names
@@ -697,3 +700,24 @@ def test_battery_raises_singular_design_before_dividing_by_zero():
             run_battery(data, plan, ["stratified_diff_means", "lm_permutation"])
         alone = run_battery(data, plan, ["stratified_diff_means"])
     assert alone["stratified_diff_means"].p_value == stratified_diff_means(data, plan).p_value
+
+
+@pytest.mark.parametrize("test", [lm_permutation, freedman_lane], ids=lambda f: f.__name__)
+def test_memory_does_not_grow_with_the_number_of_draws(test):
+    # Draws are made and scored in blocks of at most 1,024, so the peak is
+    # set by the block and the trial, not by the number of draws.
+    rng = np.random.default_rng(61)
+    strata = np.repeat([0, 1], 500)
+    z = np.tile(np.int8([1, 0]), 500)
+    x = rng.standard_normal(1000)
+    data = TrialData.from_arrays(strata, z, x, x + 0.1 * z + rng.standard_normal(1000))
+    peaks = []
+    for draws in (5_000, 20_000):
+        tracemalloc.start()
+        try:
+            test(data, mc_plan(data, draws=draws))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+

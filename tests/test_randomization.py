@@ -209,12 +209,15 @@ def test_within_stratum_permutation_sampling_stays_in_blocks():
 
 def _assignments_by_shuffling_labels(layout, stream, draws):
     """The sampler assignments were first defined by: each stratum's 0/1
-    labels shuffled with the stream, stratum after stratum."""
+    labels shuffled with the stream, in blocks of 1,024 draws, stratum after
+    stratum within a block."""
     out = np.empty((draws, layout.n_units), dtype=np.int8)
-    for pos, n, t in zip(layout.stratum_positions(), layout.sizes, layout.treated):
-        block = np.tile(np.repeat(np.int8([1, 0]), (t, n - t)), (draws, 1))
-        stream.permuted(block, axis=1, out=block)
-        out[:, pos] = block
+    for start in range(0, draws, 1024):
+        rows = slice(start, min(start + 1024, draws))
+        for pos, n, t in zip(layout.stratum_positions(), layout.sizes, layout.treated):
+            block = np.tile(np.repeat(np.int8([1, 0]), (t, n - t)), (rows.stop - start, 1))
+            stream.permuted(block, axis=1, out=block)
+            out[rows, pos] = block
     return out
 
 
@@ -222,32 +225,49 @@ def _assignments_by_shuffling_labels(layout, stream, draws):
 def test_assignments_are_permutation_draws_cut_at_treated_count(layout):
     # The test battery derives every assignment from the within-stratum
     # permutations it draws; this identity keeps the assignment draws those
-    # of the label-shuffling sampler.
-    perms = sample_within_stratum_permutations(layout, derive_stream(31), 500)
+    # of the label-shuffling sampler.  2,500 draws span three blocks.
+    perms = sample_within_stratum_permutations(layout, derive_stream(31), 2500)
     expected = np.empty(perms.shape, dtype=np.int8)
     for pos, t in zip(layout.stratum_positions(), layout.treated):
         expected[:, pos] = np.searchsorted(pos, perms[:, pos]) < t
-    np.testing.assert_array_equal(sample_assignments(layout, derive_stream(31), 500), expected)
+    np.testing.assert_array_equal(sample_assignments(layout, derive_stream(31), 2500), expected)
     np.testing.assert_array_equal(
-        _assignments_by_shuffling_labels(layout, derive_stream(31), 500), expected
+        _assignments_by_shuffling_labels(layout, derive_stream(31), 2500), expected
     )
 
 
 @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
 def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
-    plan = PermutationPlan(layout=INTERLEAVED, mode=mode, draws=300, master_seed=8)
+    plan = PermutationPlan(layout=INTERLEAVED, mode=mode, draws=2500, master_seed=8)
     if mode == "exact":
         z = enumerate_assignments(INTERLEAVED)
         perms = enumerate_within_stratum_permutations(INTERLEAVED)
+        sizes = [(z.shape[0], perms.shape[0])]
     else:
-        z = sample_assignments(INTERLEAVED, plan.stream(), 300)
-        perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 300)
+        z = sample_assignments(INTERLEAVED, plan.stream(), 2500)
+        perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 2500)
+        # Monte-Carlo blocks hold at most 1,024 draws, block-major.
+        sizes = [(1024, 1024), (1024, 1024), (452, 452)]
     blocks = list(orbit_blocks(plan))
-    assert len(blocks) == INTERLEAVED.n_strata
-    for (pos, treated, units), want in zip(blocks, INTERLEAVED.stratum_positions()):
-        np.testing.assert_array_equal(pos, want)
-        np.testing.assert_array_equal(treated, z[:, pos] == 1)
-        np.testing.assert_array_equal(units, perms[:, pos])
+    assert [(b[0][1].shape[0], b[0][2].shape[0]) for b in blocks] == sizes
+    for j, want in enumerate(INTERLEAVED.stratum_positions()):
+        assert all(np.array_equal(block[j][0], want) for block in blocks)
+        np.testing.assert_array_equal(
+            np.concatenate([block[j][1] for block in blocks]), z[:, want] == 1)
+        np.testing.assert_array_equal(
+            np.concatenate([block[j][2] for block in blocks]), perms[:, want])
+
+
+def test_first_blocks_do_not_depend_on_the_draw_count():
+    # One stream consumed in order: a plan of 1,500 draws begins with the
+    # draws of a plan of 1,024, and ends with a block of 476.
+    short = PermutationPlan(layout=CONTIGUOUS, draws=1024, master_seed=9)
+    long = PermutationPlan(layout=CONTIGUOUS, draws=1500, master_seed=9)
+    (first,), blocks = list(orbit_blocks(short)), list(orbit_blocks(long))
+    assert [b[0][2].shape[0] for b in blocks] == [1024, 476]
+    for (_, t_a, u_a), (_, t_b, u_b) in zip(first, blocks[0]):
+        np.testing.assert_array_equal(t_a, t_b)
+        np.testing.assert_array_equal(u_a, u_b)
 
 
 def test_sample_assignment_repeatable_from_same_seed():

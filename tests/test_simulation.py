@@ -1,12 +1,19 @@
 """Tests for the data-generating families and the replication engine."""
+import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from stratperm.randomization import derive_stream
+from stratperm.hypothesis_tests import METHODS, run_battery, tally_battery
+from stratperm.randomization import PermutationPlan, derive_stream
 from stratperm.simulation import (
+    DEFAULT_TESTS,
+    ERROR_DISTS,
+    FAMILIES,
+    LATENTS,
     Population,
     PowerEstimate,
     PowerStudyResult,
@@ -23,6 +30,7 @@ from stratperm.simulation import (
     write_results_csv,
     write_results_json,
 )
+from stratperm.simulation import _ALPHA_SLACK, _replication_inputs, _score_replication, _stop_count
 
 
 def config(**overrides):
@@ -293,6 +301,88 @@ def test_null_rejection_rate_is_near_level():
     assert rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 500)
 
 
+# Every family x latent, with the error laws the family allows among normal,
+# t2 and lognormal.
+STOPPING_SCENARIOS = [
+    (family, latent, error)
+    for family in FAMILIES
+    for latent in LATENTS
+    for error in ("normal", "t2", "lognormal")
+    if family != "discrete" or error == "normal"
+]
+
+
+@pytest.mark.parametrize("family,latent,error_dist", STOPPING_SCENARIOS,
+                         ids=["-".join(c) for c in STOPPING_SCENARIOS])
+def test_stopped_replications_decide_as_full_runs(family, latent, error_dist):
+    # 2,500 draws span three blocks, so tests can stop early; 999 is less
+    # than one block, so every test runs to the end.
+    stopped = 0
+    for gamma, alpha, permutations, tests in itertools.product(
+            (0.0, 0.3), (0.05, 0.1), (2500, 999), (tuple(METHODS), DEFAULT_TESTS)):
+        cfg = config(family=family, latent=latent, error_dist=error_dist, gamma=gamma,
+                     alpha=alpha, permutations=permutations, tests=tests,
+                     sizes=(8, 8, 8), treated=(4, 4, 4), master_seed=4321)
+        stop_at = _stop_count(alpha, permutations)
+        # The stop count is the first count whose p-value is not rejected.
+        assert (stop_at + 1) / (permutations + 1) > alpha + _ALPHA_SLACK
+        assert stop_at / (permutations + 1) <= alpha + _ALPHA_SLACK
+        drawn = np.array([t != "ancova" for t in tests])
+        for index in range(3):
+            data, plan, _ = _replication_inputs(cfg, index)
+            p, used = _score_replication(cfg, data, plan)
+            full = run_battery(data, plan, tests)
+            full_p = np.array([full[t].p_value.value for t in tests])
+            np.testing.assert_array_equal(p <= alpha + _ALPHA_SLACK,
+                                          full_p <= alpha + _ALPHA_SLACK)
+            ran = used == permutations
+            np.testing.assert_array_equal(used[~drawn], 0)
+            np.testing.assert_array_equal(p[ran | ~drawn], full_p[ran | ~drawn])
+            cut = drawn & ~ran
+            assert permutations > 1024 or not cut.any()
+            k = np.rint(p[cut] * (permutations + 1)) - 1
+            np.testing.assert_array_equal(p[cut], (k + 1) / (permutations + 1))
+            assert np.all(k >= stop_at)
+            assert np.all(p[cut] > alpha + _ALPHA_SLACK)
+            assert np.all(p[cut] <= full_p[cut])
+            stopped += int(cut.sum())
+    assert stopped > 0
+
+
+def test_tally_stops_after_the_first_block_whose_count_reaches_stop_at():
+    cfg = config(gamma=0.0, permutations=3000, tests=tuple(METHODS), master_seed=99)
+    data, plan, _ = _replication_inputs(cfg, 0)
+    # The first 1,024 of a plan's draws are those of a plan of 1,024 draws.
+    first = run_battery(data, dataclasses.replace(plan, draws=1024), cfg.tests)
+    for name in cfg.tests[1:]:
+        k = first[name].p_value.exceedances
+        p, used = tally_battery(data, plan, (name,), stop_at=k)[name]
+        assert (p, used) == ((k + 1) / 3001, 1024)
+        p, used = tally_battery(data, plan, (name,), stop_at=k + 1)[name]
+        assert used > 1024 and p * 3001 - 1 >= k
+
+
+def test_tally_needs_a_monte_carlo_plan():
+    data, plan, _ = _replication_inputs(config(master_seed=3), 0)
+    with pytest.raises(ValueError, match="monte_carlo"):
+        tally_battery(data, dataclasses.replace(plan, mode="exact"), ("kennedy",), 1)
+    with pytest.raises(ValueError, match="unknown"):
+        tally_battery(data, plan, ("exchangeability",), 1)
+
+
+def test_power_study_records_draws_used():
+    cfg = small_study(gamma=0.0, replications=20, permutations=3000,
+                      tests=("ancova", "stratified_diff_means", "lm_permutation"))
+    res = run_power_study(cfg)
+    assert res.draws_used.shape == res.p_values.shape
+    np.testing.assert_array_equal(res.draws_used[:, 0], 0)
+    used = res.draws_used[:, 1:]
+    assert np.all((used % 1024 == 0) | (used == 3000))
+    assert np.any(used < 3000)
+    # A stopped p-value is not rejected; one that ran to the end may be.
+    assert np.all(res.p_values[:, 1:][used < 3000] > cfg.alpha)
+
+
 def test_power_ratio_table_matches_hand_division():
     cfg = small_study(gamma=0.6, replications=80)
     res = run_power_study(cfg)
@@ -314,6 +404,7 @@ def test_power_ratio_table_rejects_zero_reference():
         config=cfg,
         estimates={"ancova": est},
         p_values=np.ones((10, 1)),
+        draws_used=np.zeros((10, 1), dtype=np.int64),
         sample_ates=np.zeros(10),
     )
     with pytest.raises(ValueError, match="zero power"):
