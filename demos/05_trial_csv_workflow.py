@@ -43,9 +43,12 @@ with tempfile.TemporaryDirectory(prefix="stratperm-demo-") as tmp:
     print(csv_path.read_text().splitlines()[0])
     print(csv_path.read_text().splitlines()[1], "...\n")
 
-    # analyze: the battery per endpoint, a JSON report on the side.  Exit
-    # code 0 is success; 2 flags input problems, 3 numerical ones.  The demo
-    # stops with the command's exit code when it fails.
+    # analyze: the battery per endpoint, a JSON report on the side.  Every
+    # endpoint and test is scored against the same re-randomizations: one
+    # plan of --permutations draws, seeded from --seed, drawn once for the
+    # whole trial.  Exit code 0 is success; 2 flags input problems, 3
+    # numerical ones.  The demo stops with the command's exit code when it
+    # fails.
     report_path = workdir / "report.json"
     code = main([
         "analyze",
@@ -65,6 +68,9 @@ with tempfile.TemporaryDirectory(prefix="stratperm-demo-") as tmp:
 
     # diagnose: residual exchangeability per endpoint.  Small p-values warn
     # that residual-permutation tests may be off; here nothing should fire.
+    # It scores on the same trial plan as analyze, so with the same
+    # --permutations and --seed its rows equal the report's exchangeability
+    # rows; this run uses fewer draws, so its p-values differ from them.
     code = main([
         "diagnose",
         "--input", str(csv_path),

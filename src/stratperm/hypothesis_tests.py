@@ -18,7 +18,9 @@ matrix product per stratum.  Each test is split into its observed side and
 a null that scores one block from those products; every null statistic is a
 sum of per-stratum products, so no (draws, units) matrix is built, and
 beyond one block only the null statistics are kept.  :func:`run_battery`
-concatenates the blocks' nulls into each test's result; :func:`tally_battery`
+concatenates the blocks' nulls into each test's result, and :func:`run_trial`
+does so for several endpoints of one trial, scoring each block for all of
+them; :func:`tally_battery`
 only counts exceedances, block by block, and stops once every test's
 decision at a given alpha is fixed, which is all a power study needs.
 
@@ -75,6 +77,7 @@ __all__ = [
     "npc_combine",
     "exchangeability_diagnostic",
     "run_battery",
+    "run_trial",
     "tally_battery",
     "METHODS",
 ]
@@ -340,11 +343,15 @@ class _Battery:
                        for pos in self.positions]
                 for rows, names in self.needs.items()}
 
-    def blocks(self):
-        """The plan's orbit as :class:`_Block` objects, one per block of draws."""
-        for strata in orbit_blocks(self.plan, assignments=_ASSIGNMENTS in self.needs,
-                                   permutations=bool(self.needs.keys() - {_ASSIGNMENTS})):
-            yield _Block(self, strata)
+
+def _blocks(plan: PermutationPlan, batteries):
+    """The plan's orbit, one block of draws at a time: per block, one
+    :class:`_Block` per battery, all cut from the same draws."""
+    rows = set().union(*(battery.needs for battery in batteries))
+    for strata in orbit_blocks(plan, assignments=_ASSIGNMENTS in rows,
+                               permutations=bool(rows - {_ASSIGNMENTS})):
+        yield [_Block(battery, strata) for battery in batteries]
+        del strata
 
 
 class _Block:
@@ -758,8 +765,8 @@ def exchangeability_diagnostic(
     partial p of 1 and are flagged.
     """
     battery = _Battery(data, plan, ("exchangeability",))
-    return _run(battery, {"exchangeability": _exchangeability(battery, combiner)})[
-        "exchangeability"]
+    scored = {"exchangeability": _exchangeability(battery, combiner)}
+    return _run(plan, [(battery, scored)])[0]["exchangeability"]
 
 
 # ---------------------------------------------------------------------------
@@ -793,20 +800,25 @@ def _observed_sides(data: TrialData, plan: PermutationPlan, methods, known):
     return battery, {m: _TESTS[m][0](battery) for m in methods}
 
 
-def _run(battery: _Battery, scored: dict) -> dict:
-    """Every test's result from one pass over the orbit, block by block."""
-    drawn = {m: s for m, s in scored.items() if s.null is not None}
-    nulls = {m: [] for m in drawn}
-    degenerate = dict.fromkeys(drawn, 0)
-    if drawn:
-        for block in battery.blocks():
-            for m, s in drawn.items():
-                null, bad = s.null(block)
-                nulls[m].append(null)
-                degenerate[m] += bad
-    return {m: s.result(np.concatenate(nulls[m]) if m in drawn else None,
-                        degenerate.get(m, 0), battery.plan.mode)
-            for m, s in scored.items()}
+def _run(plan: PermutationPlan, runs) -> list:
+    """Every result of several (battery, scored) pairs on one plan, from one
+    pass over its orbit, block by block; one ``{method: TestResult}`` per
+    pair."""
+    drawn = [{m: s for m, s in scored.items() if s.null is not None} for _, scored in runs]
+    nulls = [{m: [] for m in tests} for tests in drawn]
+    degenerate = [dict.fromkeys(tests, 0) for tests in drawn]
+    if any(drawn):
+        for blocks in _blocks(plan, [battery for battery, _ in runs]):
+            for block, tests, kept, bad in zip(blocks, drawn, nulls, degenerate):
+                for m, s in tests.items():
+                    null, count = s.null(block)
+                    kept[m].append(null)
+                    bad[m] += count
+            del blocks, block  # release this block before the next is drawn
+    return [{m: s.result(np.concatenate(kept[m]) if m in kept else None,
+                         bad.get(m, 0), plan.mode)
+             for m, s in scored.items()}
+            for (_, scored), kept, bad in zip(runs, nulls, degenerate)]
 
 
 def _run_one(data: TrialData, plan: PermutationPlan, method: str) -> TestResult:
@@ -821,7 +833,22 @@ def run_battery(data: TrialData, plan: PermutationPlan, methods) -> dict:
     function returns for the same (data, plan), because every test run with
     one plan sees the same draws.
     """
-    return _run(*_observed_sides(data, plan, list(methods), _TESTS))
+    return run_trial([data], plan, methods)[0]
+
+
+def run_trial(endpoints, plan: PermutationPlan, methods) -> list:
+    """Run the same tests on several endpoints of one trial, drawing the
+    orbit once for all of them.
+
+    ``endpoints`` are :class:`TrialData` sharing ``plan``'s layout and
+    ``methods`` are names from :data:`METHODS` or ``"exchangeability"``.
+    Returns one ``{method: TestResult}`` per endpoint, each equal to
+    :func:`run_battery` on that endpoint and plan: every block of draws is
+    drawn once and scored for every endpoint, so all results come from one
+    re-randomization of the trial.
+    """
+    methods = list(methods)
+    return _run(plan, [_observed_sides(data, plan, methods, _TESTS) for data in endpoints])
 
 
 def tally_battery(data: TrialData, plan: PermutationPlan, methods, stop_at: int) -> dict:
@@ -846,9 +873,9 @@ def tally_battery(data: TrialData, plan: PermutationPlan, methods, stop_at: int)
     counts = {m: 0 for m, s in scored.items() if s.null is not None}
     used = dict.fromkeys(counts, 0)
     live = [m for m in counts if counts[m] < stop_at]
-    blocks = battery.blocks()
+    blocks = _blocks(plan, [battery])
     while live:
-        block = next(blocks, None)
+        block = next(blocks, [None])[0]
         if block is None:
             break
         for m in live:
@@ -856,6 +883,7 @@ def tally_battery(data: TrialData, plan: PermutationPlan, methods, stop_at: int)
             counts[m] += _exceedances(scored[m].statistic, null, scored[m].tail)
             used[m] += null.shape[0]
         live = [m for m in live if counts[m] < stop_at]
+        del block  # release this block before the next is drawn
     return {m: ((counts[m] + 1) / (plan.draws + 1), used[m]) if m in counts
             else (s.result(None, 0, plan.mode).p_value.value, 0)
             for m, s in scored.items()}

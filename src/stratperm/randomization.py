@@ -246,6 +246,7 @@ def _sampled_blocks(positions, stream: np.random.Generator, draws: int):
             stream.permuted(block, axis=1, out=block)
             units.append(block)
         yield units
+        del units, block  # let the caller release this block before the next is drawn
 
 
 def enumerate_assignments(layout: StratumLayout, cap: int | None = None) -> np.ndarray:
@@ -325,7 +326,9 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     the rows that :func:`sample_within_stratum_permutations` and
     :func:`sample_assignments` draw from ``plan.stream()``, sampled once:
     positions ascend, so ``units < pos[t_j]`` marks the units that receive
-    the stratum's first t_j units.  An exact orbit is one block, the
+    the stratum's first t_j units.  The generator keeps no reference to a
+    block it has yielded, so a consumer that drops its own before asking for
+    the next holds one block at a time.  An exact orbit is one block, the
     columns of :func:`enumerate_assignments` and
     :func:`enumerate_within_stratum_permutations`, which are dropped once
     cut into strata; its two arrays have the two orbits' lengths.
@@ -337,6 +340,7 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
             yield [(pos, block < pos[t] if assignments else None,
                     block if permutations else None)
                    for pos, t, block in zip(positions, layout.treated, units)]
+            del units
         return
     cap = plan.enumeration_cap
     treated = enumerate_assignments(layout, cap) if assignments else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .hypothesis_tests import METHODS, TrialData, exchangeability_diagnostic
-from .randomization import DRAW_SCHEME, PermutationPlan, derive_seed
+from .hypothesis_tests import METHODS, TestResult, TrialData, run_trial
+from .randomization import DRAW_SCHEME, PermutationPlan
 
 __all__ = [
     "TrialDataError",
@@ -31,6 +32,7 @@ __all__ = [
     "summarize_by_arm",
     "baseline_outcome_correlation",
     "run_analysis",
+    "diagnose_exchangeability",
     "AnalysisReport",
     "report_to_json",
     "report_to_csv",
@@ -55,6 +57,14 @@ def _atomic_write(path, text: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _csv_text(rows) -> str:
+    """Rows as CSV text, fields quoted where they hold a comma, quote or
+    line break, so :func:`load_trial_csv` and other readers split them back."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _engine_provenance() -> dict:
@@ -238,7 +248,7 @@ def write_trial_csv(dataset: TrialDataset, path) -> None:
     header = list(_ID_COLUMNS)
     for name in names:
         header += [_BASELINE_PREFIX + name, _OUTCOME_PREFIX + name]
-    lines = [",".join(header)]
+    rows = [header]
     for i, subject in enumerate(dataset.subjects):
         stratum = first.stratum_labels[first.strata[i]]
         arm = dataset.treated_label if first.z[i] == 1 else dataset.control_label
@@ -247,8 +257,8 @@ def write_trial_csv(dataset: TrialDataset, path) -> None:
             data = dataset.endpoints[name]
             cells.append(repr(float(data.x[i])))
             cells.append(repr(float(data.y[i])))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        rows.append(cells)
+    _atomic_write(path, _csv_text(rows))
 
 
 def _arm_stats(values: np.ndarray):
@@ -334,16 +344,29 @@ class AnalysisReport:
     provenance: dict
 
 
-def _exchangeability_row(name, data, e_index, permutations, master_seed) -> dict:
-    """One endpoint's exchangeability diagnostic as a report row; ``analyze``
-    and ``diagnose`` both build it here, so their rows agree."""
+def _trial_results(dataset: TrialDataset, methods, permutations: int,
+                   master_seed: int) -> list:
+    """Each endpoint's ``{method: TestResult}``, all scored on the trial's one
+    plan, whose orbit is drawn once for every endpoint and test."""
+    first_name, first = next(iter(dataset.endpoints.items()))
+    for name, data in dataset.endpoints.items():
+        if not (np.array_equal(data.strata, first.strata)
+                and np.array_equal(data.z, first.z)):
+            raise TrialDataError(
+                f"endpoint {name!r} does not share the strata and treatment "
+                f"assignment of endpoint {first_name!r}"
+            )
     plan = PermutationPlan(
-        layout=data.layout,
+        layout=first.layout,
         mode="monte_carlo",
         draws=permutations,
-        master_seed=derive_seed(master_seed, e_index, 10_000),
+        master_seed=master_seed,
     )
-    diag = exchangeability_diagnostic(data, plan)
+    return run_trial(dataset.endpoints.values(), plan, methods)
+
+
+def _exchangeability_row(name, diag: TestResult) -> dict:
+    """One endpoint's exchangeability diagnostic as a report row."""
     return {
         "endpoint": name,
         "statistic": diag.statistic,
@@ -354,6 +377,22 @@ def _exchangeability_row(name, data, e_index, permutations, master_seed) -> dict
     }
 
 
+def diagnose_exchangeability(
+    dataset: TrialDataset,
+    permutations: int = 10_000,
+    master_seed: int = 0,
+) -> list:
+    """Each endpoint's exchangeability diagnostic as a report row.
+
+    The rows are scored on the plan :func:`run_analysis` uses for the same
+    ``permutations`` and ``master_seed``, so they equal its exchangeability
+    rows.
+    """
+    results = _trial_results(dataset, ["exchangeability"], permutations, master_seed)
+    return [_exchangeability_row(name, result["exchangeability"])
+            for name, result in zip(dataset.endpoint_names, results)]
+
+
 def run_analysis(
     dataset: TrialDataset,
     methods,
@@ -361,32 +400,39 @@ def run_analysis(
     master_seed: int = 0,
     alpha: float = 0.05,
 ) -> AnalysisReport:
-    """Run the requested tests on every endpoint with derived sub-seeds.
+    """Run the requested tests on every endpoint, all against one
+    re-randomization of the trial.
 
-    Each (endpoint, method) pair gets its own stream derived from
-    (master_seed, endpoint index, method index); the exchangeability
-    diagnostic (attached whenever freedman_lane is requested) uses a
-    reserved index.  Report contents carry no timestamps, so rerunning with
-    the same inputs is byte-identical.
+    The endpoints share the trial's strata and assignment, so one
+    Monte-Carlo plan of ``permutations`` draws, seeded from ``master_seed``,
+    serves every endpoint and test.  Its orbit is drawn once, block by
+    block, and every row is scored from the same draws: the exchangeability
+    diagnostic (attached whenever freedman_lane is requested) too, so its
+    rows equal :func:`diagnose_exchangeability`'s.  Each row equals
+    :func:`~stratperm.hypothesis_tests.run_battery` on its endpoint and that
+    plan.  A test named twice is rejected.
+
+    P-values for a given seed differ from those of versions that gave every
+    (endpoint, method) pair a stream of its own.  Report contents carry no
+    timestamps, so rerunning with the same inputs is byte-identical.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"tests named more than once: {repeated}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    diagnosed = "freedman_lane" in methods
+    scored = methods + ["exchangeability"] if diagnosed else methods
     rows = []
     exchangeability = []
-    for e_index, (name, data) in enumerate(dataset.endpoints.items()):
-        layout = data.layout
-        for m_index, method in enumerate(methods):
-            plan = PermutationPlan(
-                layout=layout,
-                mode="monte_carlo",
-                draws=permutations,
-                master_seed=derive_seed(master_seed, e_index, m_index),
-            )
-            result = METHODS[method](data, plan)
+    for name, results in zip(dataset.endpoint_names,
+                             _trial_results(dataset, scored, permutations, master_seed)):
+        for method in methods:
+            result = results[method]
             rows.append(
                 {
                     "endpoint": name,
@@ -401,10 +447,8 @@ def run_analysis(
                     "degenerate_draws": result.degenerate_draws,
                 }
             )
-        if "freedman_lane" in methods:
-            exchangeability.append(
-                _exchangeability_row(name, data, e_index, permutations, master_seed)
-            )
+        if diagnosed:
+            exchangeability.append(_exchangeability_row(name, results["exchangeability"]))
     provenance = {
         **_engine_provenance(),
         "seed": master_seed,
@@ -432,16 +476,15 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def report_to_csv(report: AnalysisReport) -> str:
-    lines = ["endpoint,method,statistic,p_value,p_mode,draws,exceedances,df,flags"]
+    rows = [["endpoint", "method", "statistic", "p_value", "p_mode", "draws",
+             "exceedances", "df", "flags"]]
     for row in report.rows:
-        flags = ";".join(row["flags"])
-        df = "" if row["df"] is None else row["df"]
-        lines.append(
-            f"{row['endpoint']},{row['method']},{row['statistic']!r},"
-            f"{row['p_value']!r},{row['p_mode']},{row['draws']},"
-            f"{row['exceedances']},{df},{flags}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append([
+            row["endpoint"], row["method"], repr(row["statistic"]),
+            repr(row["p_value"]), row["p_mode"], row["draws"], row["exceedances"],
+            "" if row["df"] is None else row["df"], ";".join(row["flags"]),
+        ])
+    return _csv_text(rows)
 
 
 def format_report_text(report: AnalysisReport) -> str:

@@ -30,7 +30,7 @@ from .randomization import (
     derive_stream,
     sample_assignments,
 )
-from .reporting import _atomic_write, _engine_provenance
+from .reporting import _atomic_write, _csv_text, _engine_provenance
 
 __all__ = [
     "FAMILIES",
@@ -119,6 +119,9 @@ class ScenarioConfig:
         unknown = [t for t in self.tests if t not in METHODS]
         if unknown:
             raise ValueError(f"unknown tests {unknown}; choose from {sorted(METHODS)}")
+        repeated = sorted({t for t in self.tests if self.tests.count(t) > 1})
+        if repeated:
+            raise ValueError(f"tests named more than once: {repeated}")
         # Validates sizes/treated pairing.
         StratumLayout.from_counts(self.sizes, self.treated)
 
@@ -501,25 +504,25 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 _CSV_COLUMNS = (
-    "scenario,family,latent,error_dist,gamma,test,alpha,replications,"
-    "rejections,rate,std_error,mean_sample_ate"
+    "scenario", "family", "latent", "error_dist", "gamma", "test", "alpha",
+    "replications", "rejections", "rate", "std_error", "mean_sample_ate",
 )
 
 
 def write_results_csv(results, path) -> None:
     """One row per (scenario, test); written atomically."""
-    lines = [_CSV_COLUMNS]
+    rows = [_CSV_COLUMNS]
     for res in results:
         cfg = res.config
         for name in cfg.tests:
             est = res.estimates[name]
-            lines.append(
-                f"{cfg.scenario_id},{cfg.family},{cfg.latent},{cfg.error_dist},"
-                f"{cfg.gamma!r},{name},{est.alpha!r},{est.replications},"
-                f"{est.rejections},{est.rate!r},{est.std_error!r},"
-                f"{res.mean_sample_ate!r}"
-            )
-    _atomic_write(path, "\n".join(lines) + "\n")
+            rows.append([
+                cfg.scenario_id, cfg.family, cfg.latent, cfg.error_dist,
+                repr(cfg.gamma), name, repr(est.alpha), est.replications,
+                est.rejections, repr(est.rate), repr(est.std_error),
+                repr(res.mean_sample_ate),
+            ])
+    _atomic_write(path, _csv_text(rows))
 
 
 def write_results_json(results, path) -> None:

@@ -136,6 +136,15 @@ def test_analyze_unknown_method_exits_2(trial_csv, capsys):
     assert "anova" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_method_named_twice(trial_csv, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code = main(["analyze", "--input", str(trial_csv), "--permutations", "99",
+                 "--methods", "lm_permutation,lm_permutation", "--out", str(out)])
+    assert code == 2
+    assert "lm_permutation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["nan", "0", "1", "-3"])
 def test_analyze_rejects_alpha_outside_the_unit_interval(trial_csv, tmp_path, capsys, alpha):
     out = tmp_path / "r.json"
@@ -224,6 +233,15 @@ def test_simulate_bad_second_scenario_writes_nothing(tmp_path):
         ["simulate", "--scenario", str(good), str(bad), "--out", str(out)]
     )
     assert code == 2
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_test_named_twice(tmp_path, capsys):
+    scenario = scenario_file(tmp_path, tests=["stratified_diff_means"] * 2)
+    out = tmp_path / "power.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    assert "stratified_diff_means" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -359,41 +377,17 @@ def test_diagnose_writes_json_atomically(trial_csv, tmp_path, monkeypatch):
 
 
 def test_diagnose_matches_analyze_exchangeability(trial_csv, tmp_path):
-    # the standalone diagnostic and the one attached to freedman_lane reports
-    # share the same seed derivation
+    # Both commands score every endpoint on the trial's one plan, so the
+    # standalone diagnostic equals the one a default analyze attaches.
     diag_out = tmp_path / "diag.json"
     report_out = tmp_path / "report.json"
-    main(
-        [
-            "diagnose",
-            "--input",
-            str(trial_csv),
-            "--permutations",
-            "199",
-            "--seed",
-            "6",
-            "--out",
-            str(diag_out),
-        ]
-    )
-    main(
-        [
-            "analyze",
-            "--input",
-            str(trial_csv),
-            "--methods",
-            "freedman_lane",
-            "--permutations",
-            "199",
-            "--seed",
-            "6",
-            "--out",
-            str(report_out),
-        ]
-    )
+    common = ["--input", str(trial_csv), "--permutations", "199", "--seed", "6"]
+    assert main(["diagnose", *common, "--out", str(diag_out)]) == 0
+    assert main(["analyze", *common, "--out", str(report_out)]) == 0
     diag = json.loads(diag_out.read_text())["diagnostics"]
     report = json.loads(report_out.read_text())["exchangeability"]
-    assert [d["p_value"] for d in diag] == [r["p_value"] for r in report]
+    assert [d["endpoint"] for d in diag] == ["pain", "sleep"]
+    assert diag == report
 
 
 # ---------------------------------------------------------------------------

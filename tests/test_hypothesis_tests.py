@@ -721,3 +721,29 @@ def test_memory_does_not_grow_with_the_number_of_draws(test):
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
 
+
+
+def test_analysis_holds_one_block_of_draws_at_a_time():
+    # 2,048 draws are two blocks.  Each block's within-stratum permutations
+    # are a (1,024, 1,000) index array; holding the first block while the
+    # second is drawn would take the peak past two of them.
+    from stratperm.reporting import TrialDataset, run_analysis
+
+    rng = np.random.default_rng(67)
+    strata = np.repeat(["a", "b", "c"], (400, 350, 250))
+    z = np.zeros(1000, dtype=np.int8)
+    for label in ("a", "b", "c"):
+        units = np.nonzero(strata == label)[0]
+        z[rng.choice(units, units.size // 2, replace=False)] = 1
+    x = {name: rng.standard_normal(1000) for name in ("pain", "sleep")}
+    y = {name: x[name] + 0.2 * z + rng.standard_normal(1000) for name in x}
+    dataset = TrialDataset.build(strata, z, x, y)
+    methods = ("ancova", "stratified_diff_means", "lm_permutation", "freedman_lane")
+    one_block = 1024 * 1000 * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        run_analysis(dataset, methods, permutations=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * one_block, peak

@@ -1,14 +1,21 @@
 """Tests for trial CSV handling, summaries, and the analysis report."""
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from stratperm import randomization
+from stratperm.cli import main
+from stratperm.hypothesis_tests import METHODS, run_battery
+from stratperm.randomization import PermutationPlan
 from stratperm.reporting import (
     AnalysisReport,
     TrialDataError,
     TrialDataset,
     baseline_outcome_correlation,
+    diagnose_exchangeability,
     format_report_text,
     load_trial_csv,
     report_to_csv,
@@ -182,6 +189,32 @@ def test_write_then_load_round_trips_exactly(tmp_path):
         np.testing.assert_array_equal(a.strata, b.strata)
 
 
+def test_names_with_commas_and_quotes_round_trip(tmp_path):
+    rng = np.random.default_rng(3)
+    name = 'pain, "day" 7'
+    dataset = TrialDataset.build(
+        np.repeat(['site "A", north', "south"], 6),
+        np.tile(np.int8([1, 0]), 6),
+        {name: rng.normal(size=12)},
+        {name: rng.normal(size=12)},
+        subjects=[f'S{i}, "x"' for i in range(12)],
+    )
+    path = tmp_path / "quoted.csv"
+    write_trial_csv(dataset, path)
+    back = load_trial_csv(path, control_label=dataset.control_label)
+    assert back.endpoint_names == (name,)
+    assert back.subjects == dataset.subjects
+    a, b = dataset.endpoints[name], back.endpoints[name]
+    assert b.stratum_labels == a.stratum_labels
+    for field in ("strata", "z", "x", "y"):
+        np.testing.assert_array_equal(getattr(b, field), getattr(a, field))
+
+    report = run_analysis(back, ("ancova",), permutations=99)
+    rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+    assert [len(row) for row in rows] == [9, 9]
+    assert rows[1][:2] == [name, "ancova"]
+
+
 # ---------------------------------------------------------------------------
 # summaries
 
@@ -275,6 +308,102 @@ def test_run_analysis_rejects_unknown_method():
     dataset = synthetic_dataset(endpoints=("pain",))
     with pytest.raises(ValueError, match="anova"):
         run_analysis(dataset, ("anova",), permutations=99, master_seed=1)
+
+
+def three_endpoint_dataset(seed=21):
+    """Three endpoints of one trial with interleaved strata of 9, 11 and 10."""
+    rng = np.random.default_rng(seed)
+    strata = rng.permutation(np.repeat(["p", "q", "r"], (9, 11, 10)))
+    z = np.zeros(strata.size, dtype=np.int8)
+    for label in ("p", "q", "r"):
+        units = np.nonzero(strata == label)[0]
+        z[rng.choice(units, units.size // 2, replace=False)] = 1
+    baselines, outcomes = {}, {}
+    for name, effect in (("pain", 0.8), ("sleep", 0.0), ("mood", -0.4)):
+        x = rng.normal(5, 1, strata.size)
+        baselines[name] = x
+        outcomes[name] = 0.7 * x + effect * z + rng.normal(0, 1, strata.size)
+    return TrialDataset.build(strata, z, baselines, outcomes)
+
+
+@pytest.mark.parametrize("draws", [999, 2500], ids=["one-block", "three-blocks"])
+def test_every_row_equals_run_battery_on_the_trial_plan(draws):
+    dataset = three_endpoint_dataset()
+    methods = list(METHODS)
+    report = run_analysis(dataset, methods, permutations=draws, master_seed=17)
+    rows = iter(report.rows)
+    assert len(report.exchangeability) == len(dataset.endpoint_names)
+    for name, diag in zip(dataset.endpoint_names, report.exchangeability):
+        data = dataset.endpoints[name]
+        plan = PermutationPlan(layout=data.layout, draws=draws, master_seed=17)
+        expected = run_battery(data, plan, methods + ["exchangeability"])
+        for method in methods:
+            row, want = next(rows), expected[method]
+            assert (row["endpoint"], row["method"]) == (name, method)
+            assert row["statistic"] == want.statistic, (name, method)
+            assert row["p_value"] == want.p_value.value, (name, method)
+            assert row["exceedances"] == want.p_value.exceedances, (name, method)
+            assert row["draws"] == want.p_value.draws, (name, method)
+            assert row["degenerate_draws"] == want.degenerate_draws, (name, method)
+            assert row["flags"] == list(want.flags), (name, method)
+        want = expected["exchangeability"]
+        assert diag["endpoint"] == name
+        assert diag["statistic"] == want.statistic, name
+        assert diag["p_value"] == want.p_value.value, name
+        assert diag["partial_p"] == list(want.per_stratum), name
+        assert diag["stratum_correlations"] == want.null_summary["stratum_correlations"]
+        assert diag["flags"] == list(want.flags), name
+    assert next(rows, None) is None
+
+
+@pytest.mark.parametrize("endpoints", [("pain",), ("pain", "sleep", "mood")])
+@pytest.mark.parametrize("command,draws_made", [
+    (["analyze", "--methods", ",".join(METHODS)], 1),
+    (["analyze", "--methods", "stratified_sum_abs"], 1),
+    (["analyze"], 1),
+    (["diagnose"], 1),
+    (["analyze", "--methods", "ancova"], 0),
+], ids=["all-methods", "one-method", "default-methods", "diagnose", "ancova-alone"])
+def test_each_command_draws_the_orbit_once_per_trial(tmp_path, monkeypatch, capsys,
+                                                     endpoints, command, draws_made):
+    full = three_endpoint_dataset()
+    dataset = TrialDataset(
+        endpoints={name: full.endpoints[name] for name in endpoints},
+        subjects=full.subjects,
+        control_label=full.control_label,
+        treated_label=full.treated_label,
+    )
+    path = tmp_path / "trial.csv"
+    write_trial_csv(dataset, path)
+    calls = []
+    sampled_blocks = randomization._sampled_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return sampled_blocks(*args)
+
+    monkeypatch.setattr(randomization, "_sampled_blocks", counting)
+    assert main([*command, "--input", str(path), "--permutations", "2500"]) == 0
+    assert len(calls) == draws_made
+
+
+@pytest.mark.parametrize("other", [
+    dict(seed=8),  # same strata and treated counts, another assignment
+    dict(n_per=10),  # other strata
+], ids=["assignment", "strata"])
+def test_endpoints_must_share_strata_and_assignment(other):
+    first = synthetic_dataset(endpoints=("pain",))
+    second = synthetic_dataset(endpoints=("sleep",), **other)
+    mixed = TrialDataset(
+        endpoints={**first.endpoints, **second.endpoints},
+        subjects=first.subjects,
+        control_label=first.control_label,
+        treated_label=first.treated_label,
+    )
+    for run in (lambda: run_analysis(mixed, ("ancova",), permutations=99),
+                lambda: diagnose_exchangeability(mixed, permutations=99)):
+        with pytest.raises(ValueError, match="'sleep' does not share"):
+            run()
 
 
 def test_report_serializations_cover_all_rows(tmp_path):

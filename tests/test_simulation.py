@@ -1,4 +1,5 @@
 """Tests for the data-generating families and the replication engine."""
+import csv
 import dataclasses
 import itertools
 import json
@@ -492,6 +493,16 @@ def test_result_writers_round_trip(tmp_path):
     first = lines[1].split(",")
     assert first[0] == cfg.scenario_id
     assert float(first[9]) == res.estimates[cfg.tests[0]].rate
+
+
+def test_results_csv_quotes_a_scenario_id_with_commas(tmp_path):
+    cfg = small_study(replications=5, scenario_id='site "B", wave 2')
+    path = tmp_path / "results.csv"
+    write_results_csv([run_power_study(cfg)], path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [12] * (1 + len(cfg.tests))
+    assert [row[0] for row in rows[1:]] == [cfg.scenario_id] * len(cfg.tests)
 
 
 def test_result_json_is_timestamp_free(tmp_path):
