@@ -17,12 +17,17 @@ stratum's part of the block by the columns the requested tests need, one
 matrix product per stratum.  Each test is split into its observed side and
 a null that scores one block from those products; every null statistic is a
 sum of per-stratum products, so no (draws, units) matrix is built, and
-beyond one block only the null statistics are kept.  :func:`run_battery`
-concatenates the blocks' nulls into each test's result, and :func:`run_trial`
-does so for several endpoints of one trial, scoring each block for all of
-them; :func:`tally_battery`
-only counts exceedances, block by block, and stops once every test's
-decision at a given alpha is fixed, which is all a power study needs.
+beyond one block only the null statistics are kept.  An exact orbit is one
+crossed block, each stratum's orbit listed once: its per-stratum products
+are (orbit_j, columns) and are added over the grid of their combinations,
+stratum after stratum, in the order a Monte-Carlo block adds its aligned
+rows, so exact memory is O(orbit x columns), not O(orbit x units).
+
+:func:`run_battery` concatenates the blocks' nulls into each test's result,
+and :func:`run_trial` does so for several endpoints of one trial, scoring
+each block for all of them; :func:`tally_battery` only counts exceedances,
+block by block, and stops once every test's decision at a given alpha is
+fixed, which is all a power study needs.
 
 The regression tests' nuisance columns are the stratum dummies and the
 baseline.  With u the baseline centred within strata, at unit length, a
@@ -31,7 +36,8 @@ centred sum of squares, which permutation within strata leaves unchanged.
 Its cross product with the projected fixed side is one dot product
 (Frisch-Waugh-Lovell).  A draw whose difference keeps less than
 ``_CANCELLED`` of c may have lost its digits to cancellation and is
-projected explicitly, within its block, so singular draws still score 0.
+projected explicitly, within its block (an exact block's draws decoded into
+their strata's rows), so singular draws still score 0.
 The test suite checks the engine against full refits and an
 explicit-projection oracle.
 """
@@ -156,7 +162,10 @@ class TestResult:
     """Outcome of one test: the statistic, its p-value, and diagnostics.
 
     ``degenerate_draws`` counts permuted fits that were singular or had zero
-    residual variance; their statistics are recorded as 0.
+    residual variance; their statistics are recorded as 0.  ``null_summary``
+    names ANCOVA's reference distribution and holds the exchangeability
+    diagnostic's stratum correlations and combiner; it is None for the
+    permutation tests.
     """
 
     method: str
@@ -231,21 +240,6 @@ def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
 
 def _row_ss(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
-
-
-def _summarize(draws: np.ndarray) -> dict:
-    finite = draws[np.isfinite(draws)]
-    if finite.size == 0:
-        finite = np.zeros(1)
-    q = np.quantile(finite, (0.025, 0.5, 0.975))
-    return {
-        "draws": int(draws.size),
-        "mean": float(finite.mean()),
-        "sd": float(finite.std(ddof=1)) if finite.size > 1 else 0.0,
-        "q025": float(q[0]),
-        "median": float(q[1]),
-        "q975": float(q[2]),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +348,49 @@ def _blocks(plan: PermutationPlan, batteries):
         del strata
 
 
+def _on_grid(terms) -> list:
+    """Each stratum's terms as a view on the grid of a crossed orbit: stratum
+    j's rows along axis j, any columns last.  Draw r of the orbit is the grid
+    point at r in C order, earlier strata slowest."""
+    last = len(terms) - 1
+    return [term.reshape((1,) * j + term.shape[:1] + (1,) * (last - j) + term.shape[1:])
+            for j, term in enumerate(terms)]
+
+
 class _Block:
     """One block of draws and its products with the columns the tests need:
-    one matrix product per stratum and kind of row."""
+    one matrix product per stratum and kind of row.
+
+    A Monte-Carlo block is aligned: row b of every stratum's arrays belongs
+    to draw b.  An exact block is crossed: each stratum's arrays list that
+    stratum's orbit once, and the draws are every combination of their rows
+    (:func:`_on_grid`), so per-draw totals are broadcast sums of per-stratum
+    terms, added stratum after stratum as in the aligned case.
+    """
 
     def __init__(self, battery: _Battery, strata):
         self.battery = battery
         self.strata = strata
+        self.crossed = battery.plan.mode == "exact"
         self.products = {}
         for rows, names in battery.needs.items():
             values = battery.values(rows)
             per = [(treated.astype(float) if rows == _ASSIGNMENTS else values[units]) @ cols
                    for (_, treated, units), cols in zip(strata, battery.stratum_columns[rows])]
-            self.products[rows] = (list(names), per, sum(per))
+            self.products[rows] = (list(names), per, self.combine(per))
+
+    def combine(self, terms) -> np.ndarray:
+        """Per-stratum terms summed over the strata, one sum per draw."""
+        if not self.crossed:
+            return sum(terms)
+        return sum(_on_grid(terms)).reshape((-1,) + terms[0].shape[1:])
+
+    def expand(self, terms) -> np.ndarray:
+        """Per-stratum vectors as a (draws, strata) matrix: column j holds
+        stratum j's term at each draw."""
+        if not self.crossed:
+            return np.column_stack(terms)
+        return np.stack(np.broadcast_arrays(*_on_grid(terms)), axis=-1).reshape(-1, len(terms))
 
     def per_stratum(self, rows: str, column: str) -> list:
         names, per, _ = self.products[rows]
@@ -380,8 +404,11 @@ class _Block:
         """The chosen draws of ``rows`` as a (len(draws), n_units) matrix."""
         out = np.empty((len(draws), self.battery.data.n_units))
         values = self.battery.values(rows)
-        for pos, treated, units in self.strata:
-            out[:, pos] = treated[draws] if rows == _ASSIGNMENTS else values[units[draws]]
+        picked = [treated if rows == _ASSIGNMENTS else units for _, treated, units in self.strata]
+        at = (np.unravel_index(draws, [p.shape[0] for p in picked]) if self.crossed
+              else [draws] * len(picked))
+        for (pos, _, _), p, i in zip(self.strata, picked, at):
+            out[:, pos] = p[i] if rows == _ASSIGNMENTS else values[p[i]]
         return out
 
     def permuted_side(self, rows: str, fixed: str, with_x: bool = True):
@@ -430,7 +457,6 @@ class _Scored:
             p_value=monte_carlo_pvalue(self.statistic, null, mode, tail=self.tail),
             df=self.df,
             per_stratum=self.per_stratum,
-            null_summary=_summarize(null),
             flags=self.flags,
             degenerate_draws=degenerate,
         )
@@ -505,11 +531,10 @@ def _sum_abs(battery: _Battery) -> _Scored:
     per_stratum = _stratum_diffs(data.y, data.z, data.strata, data.n_strata)
 
     def null(block):
-        total = 0.0
-        for y_sum, n_j, t_j, sums in zip(y_sums, layout.sizes, layout.treated,
-                                         block.per_stratum(_ASSIGNMENTS, "y")):
-            total += np.abs(sums / t_j - (y_sum - sums) / (n_j - t_j))
-        return total, 0
+        return block.combine([
+            np.abs(sums / t_j - (y_sum - sums) / (n_j - t_j))
+            for y_sum, n_j, t_j, sums in zip(y_sums, layout.sizes, layout.treated,
+                                             block.per_stratum(_ASSIGNMENTS, "y"))]), 0
 
     return _Scored("stratified_sum_abs", float(np.abs(per_stratum).sum()), null,
                    tail="right", per_stratum=tuple(float(d) for d in per_stratum))
@@ -726,12 +751,8 @@ def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
             observed[j] = float((eps[pos] @ battery.column("xc")[pos]) * scale[j])
 
     def null(block):
-        per = block.per_stratum(_RESIDUALS, "xc")
-        draws = np.zeros((per[0].shape[0], j_total))
-        for j in range(j_total):
-            if scale[j] > 0.0:
-                draws[:, j] = per[j] * scale[j]
-        return draws, 0
+        return block.expand([p * s if s > 0.0 else np.zeros(p.shape)
+                             for p, s in zip(block.per_stratum(_RESIDUALS, "xc"), scale)]), 0
 
     def finish(draws, degenerate):
         npc = npc_combine(observed, draws, combiner=combiner, tail="two_sided")

@@ -16,9 +16,11 @@ count, is a uniform assignment.  It is drawn in blocks of 1,024 draws from
 the plan's one stream, block after block and, within a block, stratum after
 stratum (:data:`DRAW_SCHEME`).  Because the stream is consumed in order, the
 first m blocks are the same whether or not later blocks are drawn, which is
-what lets a power study stop drawing early.  Exact orbits are one block, the
-Cartesian product of per-stratum enumerations, built without a loop over the
-product's rows.
+what lets a power study stop drawing early.  An exact orbit is one crossed
+block: each stratum's orbit enumerated once, on its own, with draw r the
+C-order combination of the strata's rows (earlier strata slowest, the order
+of :func:`enumerate_assignments`), so the (orbit, units) matrices are never
+built and the battery's memory is O(orbit x columns), not O(orbit x units).
 
 Randomness is derived, never passed around as global state: a master seed and
 an index tuple give an independent stream via ``SeedSequence`` spawn keys, so
@@ -153,8 +155,9 @@ class PermutationPlan:
     """How a permutation null is to be computed.
 
     mode "exact" enumerates the whole orbit (subject to ``enumeration_cap``)
-    as one block; mode "monte_carlo" samples ``draws`` re-randomizations from
-    the stream derived from ``master_seed``, in blocks of 1,024 draws.  Every
+    as one crossed block that lists each stratum's orbit once; mode
+    "monte_carlo" samples ``draws`` re-randomizations from the stream
+    derived from ``master_seed``, in blocks of 1,024 draws.  Every
     test run with one plan sees the same draws; in monte_carlo mode the
     assignments are cut from the sampled within-stratum permutations, and the
     first blocks do not depend on how many follow (see :func:`orbit_blocks`).
@@ -328,10 +331,15 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     positions ascend, so ``units < pos[t_j]`` marks the units that receive
     the stratum's first t_j units.  The generator keeps no reference to a
     block it has yielded, so a consumer that drops its own before asking for
-    the next holds one block at a time.  An exact orbit is one block, the
-    columns of :func:`enumerate_assignments` and
-    :func:`enumerate_within_stratum_permutations`, which are dropped once
-    cut into strata; its two arrays have the two orbits' lengths.
+    the next holds one block at a time.
+
+    An exact orbit is one crossed block, after the cap check on the full
+    count: stratum j's arrays are :func:`enumerate_assignments` and
+    :func:`enumerate_within_stratum_permutations` of its one-stratum layout,
+    so ``treated`` has C(n_j, t_j) rows and ``units`` n_j! rows.  Draw r of
+    the orbit combines row r_j of every stratum, where (r_1, ..., r_J) is r
+    unravelled in C order over those row counts (earlier strata slowest);
+    that is row r of the full enumeration, which is never built.
     """
     layout = plan.layout
     positions = layout.stratum_positions()
@@ -343,11 +351,16 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
             del units
         return
     cap = plan.enumeration_cap
-    treated = enumerate_assignments(layout, cap) if assignments else None
-    units = enumerate_within_stratum_permutations(layout, cap) if permutations else None
-    block = [(pos, None if treated is None else treated[:, pos] == 1,
-              None if units is None else units[:, pos]) for pos in positions]
-    del treated, units  # the block holds its strata's copies
+    if assignments:
+        _check_cap(count_assignments(layout), cap, "assignments")
+    if permutations:
+        _check_cap(count_within_stratum_permutations(layout), cap, "permutations")
+    block = []
+    for pos, n, t in zip(positions, layout.sizes, layout.treated):
+        one = StratumLayout.from_counts((n,), (t,))
+        block.append((pos, enumerate_assignments(one, cap) == 1 if assignments else None,
+                      pos[enumerate_within_stratum_permutations(one, cap)]
+                      if permutations else None))
     yield block
 
 

@@ -145,10 +145,17 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
         raise TrialDataError(f"cannot read {path}: {err}") from err
     digest = hashlib.sha256(blob).hexdigest()
 
-    rows = list(csv.reader(blob.decode("utf-8-sig").splitlines()))
+    # Each record with the file line it starts on; a quoted field may hold
+    # line breaks, so records and lines need not be one to one.  The text is
+    # decoded as it is read, so no decoded copy of the whole file is held.
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline=""))
+    rows, start = [], 1
+    for row in reader:
+        rows.append((start, row))
+        start = reader.line_num + 1
     if not rows:
         raise TrialDataError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     missing = [c for c in _ID_COLUMNS if c not in header]
     if missing:
         raise TrialDataError(f"{path}: missing required columns {missing}")
@@ -180,7 +187,7 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
     subjects, strata, treatments = [], [], []
     values = {c: [] for c in header if c not in _ID_COLUMNS}
     bad_cells = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):

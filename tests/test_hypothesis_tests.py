@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stratperm import hypothesis_tests
 from stratperm.hypothesis_tests import (
     METHODS,
     TrialData,
@@ -608,11 +609,6 @@ def _oracle(data, plan, method):
     return np.array(observed), np.column_stack(draws), 0
 
 
-def _summary(draws):
-    q = np.quantile(draws, (0.025, 0.5, 0.975))
-    return [draws.mean(), draws.std(ddof=1), *q]
-
-
 def interleaved_trial(seed, sizes):
     """A trial whose strata codes interleave, with a real effect."""
     rng = np.random.default_rng(seed)
@@ -631,6 +627,9 @@ PARITY_CASES = [
     ("monte_carlo", 2, (4, 7, 5, 6), 400),
     ("exact", 3, (4, 5, 4), 400),
     ("monte_carlo", 4, (9, 11, 10), 2500),
+    # Four strata of unequal orbits (assignments 2 x 3 x 6 x 10, permutations
+    # 2 x 6 x 24 x 120), one of them of 2 units.
+    ("exact", 5, (2, 3, 4, 5), 400),
 ]
 
 
@@ -647,11 +646,7 @@ def test_engine_matches_explicit_projection_oracle(mode, seed, sizes, draws):
         assert result.statistic == statistic, method
         assert result.p_value == p, method
         assert result.degenerate_draws == degenerate, method
-        summary = result.null_summary
-        np.testing.assert_allclose(
-            [summary[k] for k in ("mean", "sd", "q025", "median", "q975")],
-            _summary(draws), rtol=1e-9, atol=1e-12, err_msg=method,
-        )
+        assert result.null_summary is None, method
     result = exchangeability_diagnostic(data, plan)
     observed, draws, _ = _oracle(data, plan, "exchangeability")
     npc = npc_combine(observed, draws)
@@ -678,7 +673,69 @@ def test_one_battery_call_equals_the_separate_calls(mode, seed, sizes, draws):
         assert both.degenerate_draws == alone.degenerate_draws, name
         assert both.per_stratum == alone.per_stratum, name
         assert both.flags == alone.flags, name
-        assert both.null_summary == pytest.approx(alone.null_summary, rel=1e-12), name
+        assert both.null_summary == alone.null_summary, name
+        if name not in ("ancova", "exchangeability"):
+            assert both.null_summary is None, name
+
+
+def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
+    # Strata 0 and 1 share a baseline pattern, constant in stratum 2; the
+    # null residuals follow it in stratum 0 and its reverse in stratum 1,
+    # plus a little noise.  Draws that reverse one of the two put nearly all
+    # of the residuals along the baseline, keep less than _CANCELLED of their
+    # sum of squares and are projected explicitly.  An exact orbit's draws
+    # are decoded from its strata's rows; the rows projected must be the
+    # full enumeration's.  Kennedy's projected sum of squares is the same
+    # for every draw, so it never takes that path, but it must match the
+    # oracle on the same orbit.
+    rng = np.random.default_rng(83)
+    strata = np.repeat([0, 1, 2], (4, 4, 2))
+    x = np.array([0.0, 1, 2, 3, 0, 1, 2, 3, 1, 1])
+    z = np.array([1, 0, 1, 0, 0, 1, 1, 0, 1, 0], dtype=np.int8)
+    pattern = np.array([-1.5, -0.5, 0.5, 1.5, 1.5, 0.5, -0.5, -1.5, 0, 0])
+    y = 0.5 * x + strata + pattern + 0.01 * rng.standard_normal(10)
+    data = TrialData.from_arrays(strata, z, x, y)
+    plan = exact_plan(data)
+    seen = []
+    rows_of = hypothesis_tests._Block._rows
+
+    def spy(block, rows, draws):
+        out = rows_of(block, rows, draws)
+        seen.append((rows, draws, out))
+        return out
+
+    monkeypatch.setattr(hypothesis_tests._Block, "_rows", spy)
+    for method in ("freedman_lane", "kennedy"):
+        result = METHODS[method](data, plan)
+        statistic, draws, degenerate = _oracle(data, plan, method)
+        assert result.statistic == statistic, method
+        assert result.p_value == monte_carlo_pvalue(statistic, draws, "exact"), method
+        assert result.degenerate_draws == degenerate, method
+    ((rows, redo, out),) = seen
+    assert rows == "residuals" and redo.size >= 4
+    residuals = fit_least_squares(build_design(strata, x), y).residuals
+    perms = enumerate_within_stratum_permutations(data.layout)
+    np.testing.assert_array_equal(out, residuals[perms[redo]])
+
+
+def test_exact_memory_is_set_by_the_orbit_not_its_units():
+    # 7 + 5 units: 604,800 within-stratum permutations.  Their (orbit, units)
+    # index matrix alone is 12 x orbit x 8 bytes; scoring the orbit stratum
+    # by stratum keeps only a few orbit-length vectors.
+    rng = np.random.default_rng(71)
+    strata = np.repeat([0, 1], (7, 5))
+    z = np.array([1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0], dtype=np.int8)
+    x = rng.standard_normal(12)
+    data = TrialData.from_arrays(strata, z, x, x + 0.5 * z + rng.standard_normal(12))
+    orbit = 604_800
+    tracemalloc.start()
+    try:
+        result = freedman_lane(data, exact_plan(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.p_value.draws == orbit
+    assert peak < 12 * orbit * 8, peak / (orbit * 8)
 
 
 def test_battery_rejects_unknown_tests():

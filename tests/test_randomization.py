@@ -239,19 +239,31 @@ def test_assignments_are_permutation_draws_cut_at_treated_count(layout):
 @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
 def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
     plan = PermutationPlan(layout=INTERLEAVED, mode=mode, draws=2500, master_seed=8)
-    if mode == "exact":
-        z = enumerate_assignments(INTERLEAVED)
-        perms = enumerate_within_stratum_permutations(INTERLEAVED)
-        sizes = [(z.shape[0], perms.shape[0])]
-    else:
-        z = sample_assignments(INTERLEAVED, plan.stream(), 2500)
-        perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 2500)
-        # Monte-Carlo blocks hold at most 1,024 draws, block-major.
-        sizes = [(1024, 1024), (1024, 1024), (452, 452)]
+    positions = INTERLEAVED.stratum_positions()
     blocks = list(orbit_blocks(plan))
-    assert [(b[0][1].shape[0], b[0][2].shape[0]) for b in blocks] == sizes
-    for j, want in enumerate(INTERLEAVED.stratum_positions()):
-        assert all(np.array_equal(block[j][0], want) for block in blocks)
+    for block in blocks:
+        assert all(np.array_equal(pos, want) for (pos, _, _), want in zip(block, positions))
+    if mode == "exact":
+        # One crossed block: each stratum's orbit once, enumerated on its
+        # one-stratum layout.  Draw r combines the strata's rows in C order,
+        # earlier strata slowest, which is the full enumeration's order.
+        (block,) = blocks
+        for (pos, treated, units), n, t in zip(block, INTERLEAVED.sizes, INTERLEAVED.treated):
+            one = StratumLayout.from_counts((n,), (t,))
+            np.testing.assert_array_equal(treated, enumerate_assignments(one) == 1)
+            np.testing.assert_array_equal(units, pos[enumerate_within_stratum_permutations(one)])
+        for full, k in ((enumerate_assignments(INTERLEAVED) == 1, 1),
+                        (enumerate_within_stratum_permutations(INTERLEAVED), 2)):
+            at = np.unravel_index(np.arange(full.shape[0]), [s[k].shape[0] for s in block])
+            for stratum, rows in zip(block, at):
+                np.testing.assert_array_equal(full[:, stratum[0]], stratum[k][rows])
+        return
+    z = sample_assignments(INTERLEAVED, plan.stream(), 2500)
+    perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 2500)
+    # Monte-Carlo blocks hold at most 1,024 draws, block-major.
+    assert [(b[0][1].shape[0], b[0][2].shape[0]) for b in blocks] == [
+        (1024, 1024), (1024, 1024), (452, 452)]
+    for j, want in enumerate(positions):
         np.testing.assert_array_equal(
             np.concatenate([block[j][1] for block in blocks]), z[:, want] == 1)
         np.testing.assert_array_equal(

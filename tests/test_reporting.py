@@ -215,6 +215,40 @@ def test_names_with_commas_and_quotes_round_trip(tmp_path):
     assert rows[1][:2] == [name, "ancova"]
 
 
+@pytest.mark.parametrize("subject", ["S1\nx", "S1\u2028x"],
+                         ids=["quoted_line_break", "unquoted_line_separator"])
+def test_line_breaks_inside_fields_round_trip(tmp_path, subject):
+    # The writer quotes a field holding a line break and leaves U+2028 bare;
+    # the reader splits records where csv does, not where str.splitlines would.
+    rng = np.random.default_rng(4)
+    dataset = TrialDataset.build(
+        np.repeat(["north", f"so{subject[2]}uth"], 4),
+        np.tile(np.int8([1, 0]), 4),
+        {"pain": rng.normal(size=8)},
+        {"pain": rng.normal(size=8)},
+        subjects=[subject] + [f"S{i}" for i in range(2, 9)],
+    )
+    path = tmp_path / "breaks.csv"
+    write_trial_csv(dataset, path)
+    back = load_trial_csv(path, control_label=dataset.control_label)
+    assert back.subjects == dataset.subjects
+    a, b = dataset.endpoints["pain"], back.endpoints["pain"]
+    assert b.stratum_labels == a.stratum_labels
+    for field in ("strata", "z", "x", "y"):
+        np.testing.assert_array_equal(getattr(b, field), getattr(a, field))
+
+
+def test_line_numbers_count_the_lines_inside_quoted_fields(tmp_path):
+    body = basic_rows().split("\n")
+    body[0] = '"P00\nsecond line' + body[0][3:].replace(",", '",', 1)
+    body[3] = body[3].replace(body[3].split(",")[3], "n/a", 1)
+    path = write_csv(tmp_path, "\n".join(body))
+    # The header is line 1, the quoted record lines 2-3, so the fourth record
+    # starts on line 6.
+    with pytest.raises(TrialDataError, match=r"1 missing .* line 6 \(baseline_pain\)"):
+        load_trial_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # summaries
 
