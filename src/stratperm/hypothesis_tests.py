@@ -30,20 +30,27 @@ block by block, and stops once every test's decision at a given alpha is
 fixed, which is all a power study needs.
 
 The regression tests' nuisance columns are the stratum dummies and the
-baseline.  With u the baseline centred within strata, at unit length, a
-permuted vector v has projected sum of squares c - (u.v)^2, where c is its
-centred sum of squares, which permutation within strata leaves unchanged.
-Its cross product with the projected fixed side is one dot product
-(Frisch-Waugh-Lovell).  A draw whose difference keeps less than
-``_CANCELLED`` of c may have lost its digits to cancellation and is
-projected explicitly, within its block (an exact block's draws decoded into
-their strata's rows), so singular draws still score 0.
-The test suite checks the engine against full refits and an
-explicit-projection oracle.
+baseline, and every fit is made in closed form (Frisch-Waugh-Lovell).  x, y
+and z are centred within strata once per endpoint, from per-stratum sums;
+with u the centred baseline at unit length, y_t and z_t are the centred y
+and z with their u component removed.  y_t is the null model's residual
+vector; ANCOVA's t is that of y_t regressed on z_t, and Kennedy's that of
+the centred z regressed on y_t.  A permuted vector v has projected sum of
+squares c - (u.v)^2, where c is its centred sum of squares, which
+permutation within strata leaves unchanged, and its cross product with the
+projected fixed side is one dot product.  A draw whose difference keeps
+less than ``_CANCELLED`` of c may have lost its digits to cancellation and
+is projected explicitly, within its block (an exact block's draws decoded
+into their strata's rows), so singular draws still score 0.
+
+Rank checks compare a column with its own norm, so they do not depend on
+the data's units.  The test suite checks the engine against full refits, a
+pivoted-QR reference fit and an explicit-projection oracle.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,13 +58,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtri
 
-from .linear_model import (
-    DesignMatrix,
-    SingularDesignError,
-    build_design,
-    fit_least_squares,
-    student_t_two_sided_p,
-)
+from .linear_model import SingularDesignError, student_t_two_sided_p
 from .randomization import (
     TIE_TOLERANCE,
     PermutationPlan,
@@ -203,14 +204,31 @@ def _check_plan(data: TrialData, plan: PermutationPlan) -> None:
         raise ValueError("plan layout does not match the trial data")
 
 
-def _observed_treatment_t(data: TrialData):
-    """Full-model t for the treatment column; shared by ancova and the
-    regression permutation tests so their observed statistics are identical."""
-    design = build_design(data.strata, data.x, data.z)
-    fit = fit_least_squares(design, data.y)
-    if fit.treatment_t is None:
-        return 0.0, fit, ("degenerate_residual_variance",)
-    return float(fit.treatment_t), fit, ()
+def _fit_t(target, resp, df, resp_norm):
+    """One observed fit's t and flags, by Frisch-Waugh-Lovell: ``resp`` on
+    ``target``, both with the nuisance columns projected out.
+
+    The residual sum of squares is summed from the residual vector, not
+    taken as a difference of squares, so an exact fit reads 0 to rounding.
+    At most (``_RSS_RTOL`` * the response's norm)^2 it is numerically zero:
+    t is 0/0, reported as 0 and flagged.
+    """
+    target_ss = float(target @ target)
+    gamma = float(target @ resp) / target_ss
+    resid = resp - gamma * target
+    rss = float(resid @ resid)
+    if rss <= (_RSS_RTOL * resp_norm) ** 2:
+        return 0.0, ("degenerate_residual_variance",)
+    return gamma * math.sqrt(df * target_ss / rss), ()
+
+
+def _t_tie(t, df) -> float:
+    """How close a null t must come to the observed t to tie with it.  A
+    draw's t is made from dot products, its residual sum of squares a
+    difference of squares, so its rounding error grows as |t| (1 + t^2/df):
+    TIE_TOLERANCE grows with it, and a draw equal to the observed one in
+    exact arithmetic ties with it however large t is."""
+    return TIE_TOLERANCE * max(1.0, abs(t)) * (1.0 + t * t / df)
 
 
 def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
@@ -253,6 +271,22 @@ _ASSIGNMENTS, _RESIDUALS, _OUTCOMES = "assignments", "residuals", "outcomes"
 # centred sum of squares is projected explicitly (see the module docstring).
 _CANCELLED = 1e-3
 
+# A column that keeps at most this share of its norm once the nuisance
+# columns are projected out lies in their span: the design is singular.
+_RANK_RTOL = 1e-10
+# A fit's residual variance is numerically zero when its residual norm is at
+# most this share of the response's norm.
+_RSS_RTOL = 1e-12
+
+# Per kind of row, the column holding the vector it re-randomizes or
+# reorders, centred within strata.
+_CENTRED = {_ASSIGNMENTS: "zc", _RESIDUALS: "y_t", _OUTCOMES: "yc"}
+
+
+def _rank_error(column: str, span: str) -> SingularDesignError:
+    return SingularDesignError(
+        f"design is rank deficient: column '{column}' is linearly dependent on {span}")
+
 
 class _Battery:
     """What the tests run on one (data, plan) share.
@@ -260,14 +294,15 @@ class _Battery:
     ``needs`` maps each kind of row to the columns the tests multiply into
     it.  Fits and columns are made on first use, and every test's observed
     side is scored before anything is drawn, so a test that fails on the
-    observed data fails before the orbit is sampled.
+    observed data fails before the orbit is sampled.  Without a plan only
+    the observed sides can be scored.
     """
 
-    def __init__(self, data: TrialData, plan: PermutationPlan, methods):
-        _check_plan(data, plan)
+    def __init__(self, data: TrialData, plan: PermutationPlan | None = None, methods=()):
+        if plan is not None:
+            _check_plan(data, plan)
         self.data = data
         self.plan = plan
-        self.positions = plan.layout.stratum_positions()
         self.needs: dict = {}
         for method in methods:
             for rows, columns in _TESTS[method][1].items():
@@ -275,59 +310,96 @@ class _Battery:
         self._columns: dict = {}
 
     @cached_property
-    def observed(self):
-        return _observed_treatment_t(self.data)
+    def positions(self) -> list:
+        return self.plan.layout.stratum_positions()
 
     @cached_property
-    def null_fit(self):
-        return fit_least_squares(build_design(self.data.strata, self.data.x), self.data.y)
+    def sizes(self) -> np.ndarray:
+        return self.sums(None)
+
+    def sums(self, w) -> np.ndarray:
+        """Per-stratum sums of w (counts when w is None)."""
+        return np.bincount(self.data.strata, weights=w, minlength=self.data.n_strata)
+
+    def _centre(self, v) -> np.ndarray:
+        """v, or each row of v, centred within strata.  The stratum means
+        are taken out twice: the second pass removes what rounding left of
+        the first, so an offset far beyond v's spread leaves no trace."""
+        out = np.array(v, dtype=float)
+        rows = out.reshape(-1, out.shape[-1])
+        strata, n_strata = self.data.strata, self.data.n_strata
+        group = (strata + n_strata * np.arange(len(rows))[:, None]).ravel()
+        for _ in range(2):
+            sums = np.bincount(group, weights=rows.ravel(), minlength=len(rows) * n_strata)
+            rows -= (sums.reshape(-1, n_strata) / self.sizes)[:, strata]
+        return out
 
     def _project(self, v, with_x: bool = True) -> np.ndarray:
         """v, or each row of v, with the stratum dummies projected out
         (centred within strata) and, if ``with_x``, the baseline too."""
-        out = np.array(v, dtype=float)
-        for pos in self.positions:
-            out[..., pos] -= out[..., pos].mean(axis=-1, keepdims=True)
+        out = self._centre(v)
         if with_x:
             u = self.column("u")
             out -= np.multiply.outer(out @ u, u)
         return out
 
     def column(self, name: str) -> np.ndarray:
-        """y; change (y - x); xc and zc (x and z centred within strata); u
-        (xc at unit length); y_t and z_t (y and z, null model projected out)."""
+        """y; change (y - x); xc, yc and zc (x, y and z centred within
+        strata); u (xc at unit length); y_t and z_t (yc and zc with their u
+        component removed: the null model's residuals, and the treatment
+        with the null model projected out)."""
         if name not in self._columns:
             d = self.data
             self._columns[name] = {
                 "y": lambda: d.y,
                 "change": lambda: d.y - d.x,
-                "xc": lambda: self._project(d.x, with_x=False),
-                "zc": lambda: self._project(d.z, with_x=False),
+                "xc": lambda: self._centre(d.x),
+                "yc": lambda: self._centre(d.y),
+                "zc": lambda: self._centre(d.z),
                 "u": self._unit_baseline,
-                "y_t": lambda: self._project(d.y),
-                "z_t": lambda: self._project(d.z),
+                "y_t": lambda: self._off_baseline("yc"),
+                "z_t": lambda: self._off_baseline("zc"),
             }[name]()
         return self._columns[name]
 
     def _unit_baseline(self) -> np.ndarray:
-        # With x constant within strata there is no u: the null fit raises
-        # SingularDesignError before the division by zero.
-        self.null_fit
         xc = self.column("xc")
-        return xc / np.linalg.norm(xc)
+        norm = float(np.linalg.norm(xc))
+        if norm <= _RANK_RTOL * float(np.linalg.norm(self.data.x)):
+            raise _rank_error("baseline", "the stratum intercepts")
+        return xc / norm
+
+    def _off_baseline(self, name: str) -> np.ndarray:
+        v, u = self.column(name), self.column("u")
+        return v - (v @ u) * u
+
+    @cached_property
+    def observed(self):
+        """ANCOVA's treatment t, its degrees of freedom N - J - 2 and its
+        flags; shared by ancova and the regression permutation tests so
+        their observed statistics are identical."""
+        d = self.data
+        df = d.n_units - d.n_strata - 2
+        if df < 1:
+            raise ValueError(f"need more units ({d.n_units}) than design columns "
+                             f"({d.n_strata + 2})")
+        z_t = self.column("z_t")
+        # z is 0/1, so its squared norm is its sum.
+        if float(z_t @ z_t) <= _RANK_RTOL ** 2 * float(d.z.sum()):
+            raise _rank_error("treatment", "the stratum intercepts and the baseline")
+        t, flags = _fit_t(z_t, self.column("y_t"), df, float(np.linalg.norm(d.y)))
+        return t, df, flags
 
     def values(self, rows: str) -> np.ndarray:
-        """The vector the rows re-randomize (assignments) or reorder."""
-        if rows == _ASSIGNMENTS:
-            return self.data.z.astype(float)
-        return self.null_fit.residuals if rows == _RESIDUALS else self.data.y
+        """The vector the rows re-randomize (assignments) or reorder, centred
+        within strata."""
+        return self.column(_CENTRED[rows])
 
     @cached_property
     def centred_ss(self) -> dict:
         """Per kind of row, the sum of squares of its values centred within
         strata, which every draw shares."""
-        centred = {rows: self._project(self.values(rows), with_x=False) for rows in self.needs}
-        return {rows: float(v @ v) for rows, v in centred.items()}
+        return {rows: float(self.values(rows) @ self.values(rows)) for rows in self.needs}
 
     @cached_property
     def stratum_columns(self) -> dict:
@@ -436,13 +508,14 @@ class _Scored:
     ``null(block)`` returns the block's null statistics and how many of its
     draws were degenerate; it is None for the analytic test.  ``finish``,
     when given, builds the result in place of the add-one p-value on
-    ``tail``.
+    ``tail``, where draws within ``tie`` of the statistic count as ties.
     """
 
     method: str
     statistic: float
     null: Callable | None
     tail: str = "two_sided"
+    tie: float = TIE_TOLERANCE
     df: int | None = None
     per_stratum: tuple | None = None
     flags: tuple[str, ...] = ()
@@ -454,7 +527,8 @@ class _Scored:
         return TestResult(
             method=self.method,
             statistic=self.statistic,
-            p_value=monte_carlo_pvalue(self.statistic, null, mode, tail=self.tail),
+            p_value=monte_carlo_pvalue(self.statistic, null, mode, tail=self.tail,
+                                       tie_tolerance=self.tie),
             df=self.df,
             per_stratum=self.per_stratum,
             flags=self.flags,
@@ -466,24 +540,24 @@ class _Scored:
 # parametric reference
 
 
-def _ancova_result(stat, fit, flags) -> TestResult:
+def _ancova_result(stat, df, flags) -> TestResult:
     return TestResult(
         method="ancova",
         statistic=stat,
         p_value=PValue(
-            value=1.0 if flags else student_t_two_sided_p(stat, fit.df),
+            value=1.0 if flags else student_t_two_sided_p(stat, df),
             exceedances=0, draws=0, mode="analytic",
         ),
-        df=fit.df,
-        null_summary={"reference": f"t({fit.df})"},
+        df=df,
+        null_summary={"reference": f"t({df})"},
         flags=flags,
     )
 
 
 def _ancova(battery: _Battery) -> _Scored:
-    stat, fit, flags = battery.observed
+    stat, df, flags = battery.observed
     return _Scored("ancova", stat, None,
-                   finish=lambda null, degenerate: _ancova_result(stat, fit, flags))
+                   finish=lambda null, degenerate: _ancova_result(stat, df, flags))
 
 
 def ancova_parametric(data: TrialData, plan: PermutationPlan | None = None) -> TestResult:
@@ -491,22 +565,24 @@ def ancova_parametric(data: TrialData, plan: PermutationPlan | None = None) -> T
 
     The model is y ~ stratum dummies + baseline + treatment; the statistic is
     the treatment coefficient over its standard error and the p-value comes
-    from Student's t with N - J - 2 degrees of freedom.  ``plan`` is accepted
-    for signature uniformity and ignored.
+    from Student's t with N - J - 2 degrees of freedom.  The fit is made in
+    closed form from the columns centred within strata, by the code that
+    gives the regression permutation tests their observed statistic, so the
+    two agree exactly.  ``plan`` is accepted for signature uniformity and
+    ignored.
     """
-    return _ancova_result(*_observed_treatment_t(data))
+    return _ancova_result(*_Battery(data).observed)
 
 
 # ---------------------------------------------------------------------------
 # assignment-orbit tests
 
 
-def _stratum_diffs(y, z, strata, n_strata):
-    out = np.empty(n_strata)
-    for j in range(n_strata):
-        in_j = strata == j
-        out[j] = y[in_j & (z == 1)].mean() - y[in_j & (z == 0)].mean()
-    return out
+def _stratum_diffs(battery: _Battery, v) -> np.ndarray:
+    """Per stratum, v's treated mean minus its control mean."""
+    z = battery.data.z
+    treated, n_t = battery.sums(v * z), battery.sums(z)
+    return treated / n_t - (battery.sums(v) - treated) / (battery.sizes - n_t)
 
 
 def _diff_means(battery: _Battery, method: str, column: str) -> _Scored:
@@ -520,15 +596,14 @@ def _diff_means(battery: _Battery, method: str, column: str) -> _Scored:
         treated_sums = block.total(_ASSIGNMENTS, column)
         return treated_sums / n_t - (v_sum - treated_sums) / n_c, 0
 
-    per_stratum = _stratum_diffs(v, z, battery.data.strata, battery.data.n_strata)
     return _Scored(method, float(v[z == 1].mean() - v[z == 0].mean()), null,
-                   per_stratum=tuple(float(d) for d in per_stratum))
+                   per_stratum=tuple(float(d) for d in _stratum_diffs(battery, v)))
 
 
 def _sum_abs(battery: _Battery) -> _Scored:
     data, layout = battery.data, battery.plan.layout
-    y_sums = [data.y[pos].sum() for pos in battery.positions]
-    per_stratum = _stratum_diffs(data.y, data.z, data.strata, data.n_strata)
+    y_sums = battery.sums(data.y)
+    per_stratum = _stratum_diffs(battery, data.y)
 
     def null(block):
         return block.combine([
@@ -541,15 +616,15 @@ def _sum_abs(battery: _Battery) -> _Scored:
 
 
 def _lm_permutation(battery: _Battery) -> _Scored:
-    t_obs, fit, flags = battery.observed
+    t_obs, df, flags = battery.observed
     y_t = battery.column("y_t")
     resp_ss, raw_ss = float(y_t @ y_t), float(battery.data.z.sum())
 
     def null(block):
         dot, ss = block.permuted_side(_ASSIGNMENTS, "y_t")
-        return _fwl_t(dot, ss, resp_ss, fit.df, raw_ss)
+        return _fwl_t(dot, ss, resp_ss, df, raw_ss)
 
-    return _Scored("lm_permutation", t_obs, null, df=fit.df, flags=flags)
+    return _Scored("lm_permutation", t_obs, null, df=df, flags=flags, tie=_t_tie(t_obs, df))
 
 
 def stratified_diff_means(data: TrialData, plan: PermutationPlan) -> TestResult:
@@ -592,52 +667,37 @@ def _permuted_response(battery: _Battery, method: str, rows: str) -> _Scored:
     (Freedman-Lane) or the outcomes permuted within strata (Manly); the null
     fit lies in the nuisance span, so only the permuted part is projected.
     """
-    t_obs, fit, flags = battery.observed
+    t_obs, df, flags = battery.observed
     z_t = battery.column("z_t")
     target_ss, raw_ss = float(z_t @ z_t), float(battery.data.z.sum())
 
     def null(block):
         dot, ss = block.permuted_side(rows, "z_t")
-        return _fwl_t(dot, target_ss, ss, fit.df, raw_ss)
+        return _fwl_t(dot, target_ss, ss, df, raw_ss)
 
-    return _Scored(method, t_obs, null, df=fit.df, flags=flags)
+    return _Scored(method, t_obs, null, df=df, flags=flags, tie=_t_tie(t_obs, df))
 
 
 def _kennedy(battery: _Battery) -> _Scored:
+    # z on the stratum dummies and the null residuals e: e is centred within
+    # strata already, so the fit needs only e and the centred z.
     data = battery.data
-    eps = battery.null_fit.residuals
-    dummies = np.equal.outer(data.strata, np.arange(data.n_strata)).astype(float)
-    cols = tuple(f"stratum[{lab}]" for lab in data.stratum_labels) + ("null_residual",)
-    z = data.z.astype(float)
-    flags: tuple[str, ...] = ()
-    try:
-        design = DesignMatrix(
-            matrix=np.hstack([dummies, eps[:, None]]),
-            columns=cols,
-            n_strata=data.n_strata,
-            treatment_column=len(cols) - 1,
-        )
-        fit_obs = fit_least_squares(design, z)
-        if fit_obs.treatment_t is None:
-            t_obs = 0.0
-            flags = ("degenerate_residual_variance",)
-        else:
-            t_obs = float(fit_obs.treatment_t)
-        df = fit_obs.df
-    except SingularDesignError:
+    eps, zc = battery.column("y_t"), battery.column("zc")
+    df = data.n_units - data.n_strata - 1
+    eps_ss, resp_ss = float(eps @ eps), float(zc @ zc)
+    if math.sqrt(eps_ss) <= _RANK_RTOL * float(np.linalg.norm(data.y)):
         # Null residuals are (numerically) zero: nothing to regress on.
-        t_obs = 0.0
-        flags = ("degenerate_null_residuals",)
-        df = data.n_units - data.n_strata - 1
-    zc = battery.column("zc")
-    resp_ss, raw_ss = float(zc @ zc), float(eps @ eps)
+        t_obs, flags = 0.0, ("degenerate_null_residuals",)
+    else:
+        # z is 0/1, so its norm is the square root of its sum.
+        t_obs, flags = _fit_t(eps, zc, df, math.sqrt(float(data.z.sum())))
 
     def null(block):
         # Kennedy's nuisance columns are the stratum dummies alone.
         dot, ss = block.permuted_side(_RESIDUALS, "zc", with_x=False)
-        return _fwl_t(dot, ss, resp_ss, df, raw_ss)
+        return _fwl_t(dot, ss, resp_ss, df, eps_ss)
 
-    return _Scored("kennedy", t_obs, null, df=df, flags=flags)
+    return _Scored("kennedy", t_obs, null, df=df, flags=flags, tie=_t_tie(t_obs, df))
 
 
 def freedman_lane(data: TrialData, plan: PermutationPlan) -> TestResult:
@@ -733,26 +793,17 @@ def npc_combine(
 
 def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
     data = battery.data
-    eps = battery.null_fit.residuals
-    j_total = data.n_strata
-    flags: list[str] = []
-
-    scale = np.empty(j_total)
-    observed = np.zeros(j_total)
-    for j, pos in enumerate(battery.positions):
-        sx = data.x[pos].std(ddof=1)
-        se = eps[pos].std(ddof=1)
-        denom = (pos.size - 1) * sx * se
-        if denom <= 0.0 or not np.isfinite(denom):
-            scale[j] = 0.0
-            flags.append(f"constant_in_stratum[{data.stratum_labels[j]}]")
-        else:
-            scale[j] = 1.0 / denom
-            observed[j] = float((eps[pos] @ battery.column("xc")[pos]) * scale[j])
+    eps, xc = battery.column("y_t"), battery.column("xc")
+    # Per stratum, (n_j - 1) sd(x) sd(e): both columns are centred already.
+    denom = np.sqrt(battery.sums(xc * xc) * battery.sums(eps * eps))
+    constant = ~(np.isfinite(denom) & (denom > 0.0))
+    flags = [f"constant_in_stratum[{data.stratum_labels[j]}]" for j in np.flatnonzero(constant)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(constant, 0.0, 1.0 / denom)
+    observed = battery.sums(eps * xc) * scale
 
     def null(block):
-        return block.expand([p * s if s > 0.0 else np.zeros(p.shape)
-                             for p, s in zip(block.per_stratum(_RESIDUALS, "xc"), scale)]), 0
+        return block.expand([p * s for p, s in zip(block.per_stratum(_RESIDUALS, "xc"), scale)]), 0
 
     def finish(draws, degenerate):
         npc = npc_combine(observed, draws, combiner=combiner, tail="two_sided")
@@ -901,7 +952,7 @@ def tally_battery(data: TrialData, plan: PermutationPlan, methods, stop_at: int)
             break
         for m in live:
             null = scored[m].null(block)[0]
-            counts[m] += _exceedances(scored[m].statistic, null, scored[m].tail)
+            counts[m] += _exceedances(scored[m].statistic, null, scored[m].tail, scored[m].tie)
             used[m] += null.shape[0]
         live = [m for m in live if counts[m] < stop_at]
         del block  # release this block before the next is drawn

@@ -46,6 +46,10 @@ __all__ = [
 CORRELATION_ADVISORY_THRESHOLD = 0.5
 
 _ID_COLUMNS = ("subject", "stratum", "treatment")
+# What the loader strips from each cell's ends: ASCII spaces and tabs only,
+# so labels that differ in other whitespace (line breaks, U+2028, no-break
+# spaces) stay distinct.
+_BLANKS = " \t"
 _BASELINE_PREFIX = "baseline_"
 _OUTCOME_PREFIX = "outcome_"
 
@@ -155,7 +159,7 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
         start = reader.line_num + 1
     if not rows:
         raise TrialDataError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0][1]]
+    header = [h.strip(_BLANKS) for h in rows[0][1]]
     missing = [c for c in _ID_COLUMNS if c not in header]
     if missing:
         raise TrialDataError(f"{path}: missing required columns {missing}")
@@ -188,17 +192,17 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
     values = {c: [] for c in header if c not in _ID_COLUMNS}
     bad_cells = []
     for line_no, row in rows[1:]:
-        if not row or all(not cell.strip() for cell in row):
+        if not row or all(not cell.strip(_BLANKS) for cell in row):
             continue
         if len(row) != len(header):
             raise TrialDataError(
                 f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}"
             )
-        subjects.append(row[col_index["subject"]].strip())
-        strata.append(row[col_index["stratum"]].strip())
-        treatments.append(row[col_index["treatment"]].strip())
+        subjects.append(row[col_index["subject"]].strip(_BLANKS))
+        strata.append(row[col_index["stratum"]].strip(_BLANKS))
+        treatments.append(row[col_index["treatment"]].strip(_BLANKS))
         for col, store in values.items():
-            cell = row[col_index[col]].strip()
+            cell = row[col_index[col]].strip(_BLANKS)
             try:
                 store.append(float(cell))
             except ValueError:
@@ -249,9 +253,20 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
 
 
 def write_trial_csv(dataset: TrialDataset, path) -> None:
-    """Write the canonical CSV; loading it back reproduces the dataset."""
+    """Write the canonical CSV; loading it back reproduces the dataset.
+
+    Raises ValueError for a subject id, stratum label or arm label that
+    starts or ends with a space or a tab, which the loader would strip.
+    """
     names = dataset.endpoint_names
     first = dataset.endpoints[names[0]]
+    for kind, labels in (("subject id", dataset.subjects),
+                         ("stratum label", first.stratum_labels),
+                         ("arm label", (dataset.control_label, dataset.treated_label))):
+        for label in map(str, labels):
+            if label != label.strip(_BLANKS):
+                raise ValueError(f"{kind} {label!r} starts or ends with a space or tab, "
+                                 "which loading would strip")
     header = list(_ID_COLUMNS)
     for name in names:
         header += [_BASELINE_PREFIX + name, _OUTCOME_PREFIX + name]

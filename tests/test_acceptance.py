@@ -53,12 +53,7 @@ from scipy.special import ndtri
 
 from stratperm.cli import main
 from stratperm.hypothesis_tests import METHODS, TrialData
-from stratperm.linear_model import (
-    build_design,
-    fit_least_squares,
-    regularized_incomplete_beta,
-    student_t_two_sided_p,
-)
+from stratperm.linear_model import student_t_two_sided_p
 from stratperm.randomization import (
     PermutationPlan,
     StratumLayout,
@@ -72,6 +67,8 @@ from stratperm.reporting import (
     write_trial_csv,
 )
 from stratperm.simulation import ScenarioConfig, run_power_study
+
+from reference.least_squares import build_design, fit_least_squares
 
 pytestmark = pytest.mark.acceptance
 
@@ -394,7 +391,7 @@ def test_exactness_monte_carlo_tracks_exact(profile):
 
 def test_numerical_kernels(profile):
     rng = np.random.default_rng(SEED_BASE + 70)
-    worst_coef = 0.0
+    worst_coef = worst_fit_t = 0.0
     for _ in range(50):
         n_strata = int(rng.integers(2, 5))
         sizes = rng.integers(4, 9, n_strata)
@@ -411,6 +408,12 @@ def test_numerical_kernels(profile):
         m = design.matrix
         direct = np.linalg.solve(m.T @ m, m.T @ y)
         worst_coef = max(worst_coef, float(np.max(np.abs(fit.coefficients - direct))))
+        # The package's closed-form ANCOVA t against the textbook one.
+        resid = y - m @ direct
+        cov_tt = resid @ resid / fit.df * np.linalg.inv(m.T @ m)[-1, -1]
+        t_ref = direct[-1] / np.sqrt(cov_tt)
+        t_fit = METHODS["ancova"](TrialData.from_arrays(strata, z, x, y)).statistic
+        worst_fit_t = max(worst_fit_t, abs(t_fit - t_ref) / abs(t_ref))
 
     grid = np.linspace(0.1, 5.0, 50)
     worst_t = 0.0
@@ -423,21 +426,13 @@ def test_numerical_kernels(profile):
             abs(student_t_two_sided_p(t, 2) - closed_df2),
         )
 
-    worst_beta = 0.0
-    for x_val in np.linspace(0.02, 0.98, 25):
-        for a, b in ((0.5, 0.5), (1.0, 3.0), (2.5, 7.0), (40.0, 40.0), (0.3, 9.0)):
-            total = regularized_incomplete_beta(
-                x_val, a, b
-            ) + regularized_incomplete_beta(1.0 - x_val, b, a)
-            worst_beta = max(worst_beta, abs(total - 1.0))
-
-    ok = worst_coef <= 1e-8 and worst_t <= 1e-8 and worst_beta <= 1e-10
+    ok = worst_coef <= 1e-8 and worst_fit_t <= 1e-8 and worst_t <= 1e-8
     _verdict(
         "numerical kernels",
         ok,
         f"normal-equations max err {worst_coef:.2e} (<=1e-8), "
-        f"t closed-form max err {worst_t:.2e} (<=1e-8), "
-        f"beta symmetry max err {worst_beta:.2e} (<=1e-10)",
+        f"closed-form ANCOVA t max rel err {worst_fit_t:.2e} (<=1e-8), "
+        f"t closed-form max err {worst_t:.2e} (<=1e-8)",
     )
 
 

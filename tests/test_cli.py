@@ -413,3 +413,16 @@ def test_console_module_invocation(trial_csv):
     )
     assert proc.returncode == 0
     assert "pain" in proc.stdout
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # Fits are made in closed form; the dense QR fit is a test-side
+    # reference, so importing the command line needs no scipy.linalg.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stratperm.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

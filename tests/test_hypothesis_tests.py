@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratperm import hypothesis_tests
 from stratperm.hypothesis_tests import (
@@ -30,14 +31,7 @@ from stratperm.hypothesis_tests import (
     stratified_diff_means,
     stratified_sum_abs,
 )
-from stratperm.linear_model import (
-    DesignMatrix,
-    SingularDesignError,
-    build_design,
-    fit_least_squares,
-    orthonormal_columns,
-    student_t_two_sided_p,
-)
+from stratperm.linear_model import SingularDesignError, student_t_two_sided_p
 from stratperm.randomization import (
     PermutationPlan,
     StratumLayout,
@@ -47,6 +41,13 @@ from stratperm.randomization import (
     monte_carlo_pvalue,
     sample_assignments,
     sample_within_stratum_permutations,
+)
+
+from reference.least_squares import (
+    DesignMatrix,
+    build_design,
+    fit_least_squares,
+    orthonormal_columns,
 )
 
 TIE = 1e-12
@@ -337,6 +338,22 @@ def test_kennedy_flags_zero_null_residuals():
     assert result.p_value.value == 1.0
 
 
+def test_a_large_t_ties_with_its_own_draw():
+    # y = 3 - z exactly: Kennedy's null residuals are nearly the treatment's
+    # own and its t is about -60.  A draw's t is then off by about 1e-13 of
+    # itself, which an absolute tie tolerance of 1e-12 cannot absorb, and the
+    # exact orbit lost its own observed draw.  In exact arithmetic two draws
+    # reach the observed |t|; two more fall 6e-12 short of it, below what
+    # the draws resolve, and count as ties.
+    strata = np.repeat([0, 1], 3)
+    z = np.array([0, 1, 0, 0, 0, 1], dtype=np.int8)
+    x = np.array([0.27699685, -1.10587653, 0.47602781, -2.50602894, 1.15255395, 0.96391986])
+    data = TrialData.from_arrays(strata, z, x, 3.0 - z)
+    result = kennedy_test(data, exact_plan(data))
+    assert result.statistic == pytest.approx(-59.832074100195, rel=1e-12)
+    assert result.p_value.exceedances == 4
+
+
 def test_change_scores_reduce_to_diff_means_when_baseline_is_zero():
     rng = np.random.default_rng(8)
     strata = np.repeat([0, 1], 4)
@@ -372,6 +389,63 @@ def test_two_sided_pvalues_invariant_to_outcome_sign_flip():
         p_base = METHODS[method](data, exact_plan(data)).p_value.value
         p_flip = METHODS[method](flipped, exact_plan(flipped)).p_value.value
         assert p_base == pytest.approx(p_flip, abs=1e-12), method
+
+
+REGRESSION_TESTS = ("lm_permutation", "freedman_lane", "manly", "kennedy")
+
+
+def tied_trial(seed):
+    """Two strata of 3 to 5 units (exact orbits of at most 14,400 draws), a
+    normal baseline and tied integer outcomes in 0-3."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(3, 6, size=2)
+    strata = np.repeat([0, 1], sizes)
+    z = np.zeros(strata.size, dtype=np.int8)
+    for j, n in enumerate(sizes):
+        z[rng.choice(np.nonzero(strata == j)[0], n // 2, replace=False)] = 1
+    return strata, z, rng.standard_normal(strata.size), rng.integers(0, 4, strata.size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-9, 1e9), st.integers(-29, 29),
+       st.integers(-(2**20), 2**20))
+def test_regression_tests_do_not_depend_on_units(seed, c, k, m):
+    # x -> c x, and y -> a + b y with b = 2^k and a = m b: a + b y is then
+    # exact in double precision, so the moved trial is exactly an affine
+    # image of the first.  Statistics move by rounding only; p-values,
+    # flags and degenerate counts do not move at all.
+    strata, z, x, y = tied_trial(seed)
+    b = 2.0 ** k
+    results = []
+    for xs, ys in ((x, y), (c * x, y), (x, b * (m + y))):
+        data = TrialData.from_arrays(strata, z, xs, ys)
+        results.append(run_battery(data, exact_plan(data), REGRESSION_TESTS))
+    base = results[0]
+    for moved in results[1:]:
+        for name in REGRESSION_TESTS:
+            assert moved[name].statistic == pytest.approx(base[name].statistic,
+                                                          rel=1e-9, abs=0), name
+            assert moved[name].p_value == base[name].p_value, name
+            assert moved[name].flags == base[name].flags, name
+            assert moved[name].degenerate_draws == base[name].degenerate_draws, name
+
+
+def test_rank_checks_compare_each_column_with_its_own_norm():
+    data = small_trial()
+    t = ancova_parametric(data).statistic
+    for scale in (1e-12, 1e12):
+        small_x = TrialData.from_arrays(data.strata, data.z, scale * data.x, data.y)
+        assert ancova_parametric(small_x).statistic == pytest.approx(t, rel=1e-12)
+        small_y = TrialData.from_arrays(data.strata, data.z, data.x, scale * data.y)
+        assert kennedy_test(small_y, exact_plan(small_y)).flags == ()
+    # x constant within strata, however small: the baseline is the stratum
+    # intercepts again.  x a stratum shift plus the treatment: z is in the
+    # span of the intercepts and the baseline.
+    for x, culprit in ((1e-12 * np.where(data.strata == 0, 2.0, 5.0), "baseline"),
+                       (np.where(data.strata == 0, 2.0, 5.0) + 3.0 * data.z, "treatment")):
+        moved = TrialData.from_arrays(data.strata, data.z, x, data.y)
+        with pytest.raises(SingularDesignError, match=f"'{culprit}'"):
+            ancova_parametric(moved)
 
 
 def test_plan_layout_mismatch_is_rejected():
@@ -643,14 +717,17 @@ def test_engine_matches_explicit_projection_oracle(mode, seed, sizes, draws):
         statistic, draws, degenerate = _oracle(data, plan, method)
         tail = "right" if method == "stratified_sum_abs" else "two_sided"
         p = monte_carlo_pvalue(statistic, draws, mode, tail=tail)
-        assert result.statistic == statistic, method
+        # The engine fits in closed form, the oracle by QR: the observed
+        # statistics agree to rounding, the p-values exactly.
+        assert result.statistic == pytest.approx(statistic, rel=1e-12, abs=0), method
         assert result.p_value == p, method
         assert result.degenerate_draws == degenerate, method
         assert result.null_summary is None, method
     result = exchangeability_diagnostic(data, plan)
     observed, draws, _ = _oracle(data, plan, "exchangeability")
     npc = npc_combine(observed, draws)
-    assert result.null_summary["stratum_correlations"] == observed.tolist()
+    np.testing.assert_allclose(result.null_summary["stratum_correlations"], observed,
+                               rtol=1e-12, atol=0)
     assert result.statistic == npc.statistic
     assert result.p_value == npc.p_value
     assert result.per_stratum == tuple(npc.partial_p)
@@ -708,12 +785,12 @@ def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
     for method in ("freedman_lane", "kennedy"):
         result = METHODS[method](data, plan)
         statistic, draws, degenerate = _oracle(data, plan, method)
-        assert result.statistic == statistic, method
+        assert result.statistic == pytest.approx(statistic, rel=1e-12, abs=0), method
         assert result.p_value == monte_carlo_pvalue(statistic, draws, "exact"), method
         assert result.degenerate_draws == degenerate, method
     ((rows, redo, out),) = seen
     assert rows == "residuals" and redo.size >= 4
-    residuals = fit_least_squares(build_design(strata, x), y).residuals
+    residuals = hypothesis_tests._Battery(data, plan, ("freedman_lane",)).values(rows)
     perms = enumerate_within_stratum_permutations(data.layout)
     np.testing.assert_array_equal(out, residuals[perms[redo]])
 

@@ -1,25 +1,21 @@
-"""Unit tests for the least-squares and Student-t kernels.
+"""Unit tests for the pivoted-QR reference fit and the Student-t tail.
 
-The oracles here are deliberately independent of the implementation:
-explicit normal equations solved with numpy.linalg.solve, closed-form
-Student-t tail formulas for df=1, df=2 and every even df, and
-scipy.special/scipy.stats for grid comparisons.
+The package fits in closed form; the QR fit in ``reference/least_squares.py``
+is what the oracle tests compare it with, so it is checked here against
+explicit normal equations solved with numpy.linalg.solve.  The Student-t
+tail is checked against closed-form formulas for df=1, df=2 and every even
+df, and against scipy.stats on a grid.
 """
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special, stats
+from scipy import stats
 
-from stratperm.linear_model import (
-    SingularDesignError,
-    build_design,
-    fit_least_squares,
-    orthonormal_columns,
-    regularized_incomplete_beta,
-    student_t_two_sided_p,
-)
+from stratperm.linear_model import SingularDesignError, student_t_two_sided_p
+
+from reference.least_squares import build_design, fit_least_squares, orthonormal_columns
 
 RNG = np.random.default_rng(615243)
 
@@ -221,40 +217,6 @@ def test_t_pvalue_extreme_tail_is_tiny_but_positive():
 def test_t_pvalue_rejects_bad_df():
     with pytest.raises(ValueError):
         student_t_two_sided_p(1.0, 0)
-
-
-# ---------------------------------------------------------------------------
-# regularized incomplete beta
-
-
-def test_incomplete_beta_quarter_point():
-    # I_x(2,3) = x^2 (6 - 8x + 3x^2) at x = 1/4: exactly 67/256
-    assert regularized_incomplete_beta(0.25, 2.0, 3.0) == pytest.approx(
-        67.0 / 256.0, abs=1e-12
-    )
-
-
-def test_incomplete_beta_edges():
-    assert regularized_incomplete_beta(0.0, 3.0, 4.0) == 0.0
-    assert regularized_incomplete_beta(1.0, 3.0, 4.0) == 1.0
-
-
-def test_incomplete_beta_symmetry_identity():
-    xs = np.linspace(0.01, 0.99, 25)
-    for a, b in ((0.5, 0.5), (2.0, 3.0), (21.5, 0.5), (5.0, 5.0)):
-        for x in xs:
-            total = regularized_incomplete_beta(
-                x, a, b
-            ) + regularized_incomplete_beta(1.0 - x, b, a)
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_incomplete_beta_matches_scipy_grid():
-    xs = np.linspace(0.001, 0.999, 40)
-    for a, b in ((0.5, 0.5), (1.0, 1.0), (2.0, 3.0), (21.5, 0.5), (10.0, 0.5)):
-        got = [regularized_incomplete_beta(x, a, b) for x in xs]
-        expected = special.betainc(a, b, xs)
-        np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,44 @@ def test_line_breaks_inside_fields_round_trip(tmp_path, subject):
         np.testing.assert_array_equal(getattr(b, field), getattr(a, field))
 
 
+def test_labels_differing_in_other_whitespace_stay_apart(tmp_path):
+    # Only spaces and tabs are stripped on loading: a stratum label ending in
+    # U+2028 keeps it, so "south" and "south\u2028" stay two strata.
+    rng = np.random.default_rng(5)
+    dataset = TrialDataset.build(
+        np.repeat(["south", "south\u2028"], 4),
+        np.tile(np.int8([1, 0]), 4),
+        {"pain": rng.normal(size=8)},
+        {"pain": rng.normal(size=8)},
+    )
+    path = tmp_path / "labels.csv"
+    write_trial_csv(dataset, path)
+    back = load_trial_csv(path, control_label=dataset.control_label)
+    assert back.endpoints["pain"].stratum_labels == ("south", "south\u2028")
+    np.testing.assert_array_equal(back.endpoints["pain"].strata,
+                                  dataset.endpoints["pain"].strata)
+
+
+@pytest.mark.parametrize("subject,stratum,control",
+                         [("S1 ", "north", "placebo"), ("S1", "\tnorth", "placebo"),
+                          ("S1", "north", "placebo ")],
+                         ids=["subject", "stratum", "arm"])
+def test_writer_refuses_labels_the_loader_would_strip(tmp_path, subject, stratum, control):
+    rng = np.random.default_rng(6)
+    dataset = TrialDataset.build(
+        np.repeat([stratum, "south"], 4),
+        np.tile(np.int8([1, 0]), 4),
+        {"pain": rng.normal(size=8)},
+        {"pain": rng.normal(size=8)},
+        subjects=[subject] + [f"S{i}" for i in range(2, 9)],
+        control_label=control,
+    )
+    path = tmp_path / "blanks.csv"
+    with pytest.raises(ValueError, match="space or tab"):
+        write_trial_csv(dataset, path)
+    assert not path.exists()
+
+
 def test_line_numbers_count_the_lines_inside_quoted_fields(tmp_path):
     body = basic_rows().split("\n")
     body[0] = '"P00\nsecond line' + body[0][3:].replace(",", '",', 1)
