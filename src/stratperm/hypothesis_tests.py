@@ -23,11 +23,11 @@ are (orbit_j, columns) and are added over the grid of their combinations,
 stratum after stratum, in the order a Monte-Carlo block adds its aligned
 rows, so exact memory is O(orbit x columns), not O(orbit x units).
 
-:func:`run_battery` concatenates the blocks' nulls into each test's result,
-and :func:`run_trial` does so for several endpoints of one trial, scoring
-each block for all of them; :func:`tally_battery` only counts exceedances,
-block by block, and stops once every test's decision at a given alpha is
-fixed, which is all a power study needs.
+One loop walks the orbit and counts each test's exceedances block by
+block; only the exchangeability diagnostic keeps its null statistics, for
+their nonparametric combination.  :func:`run_trial` scores several endpoints
+of one trial in that loop and :data:`METHODS` one test; :func:`tally_battery`
+stops once every decision at a given alpha is fixed, for power studies.
 
 The regression tests' nuisance columns are the stratum dummies and the
 baseline, and every fit is made in closed form (Frisch-Waugh-Lovell).  x, y
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -65,6 +65,7 @@ from .randomization import (
     PValue,
     StratumLayout,
     _exceedances,
+    _pvalue,
     monte_carlo_pvalue,
     orbit_blocks,
 )
@@ -73,17 +74,8 @@ __all__ = [
     "TrialData",
     "TestResult",
     "NpcResult",
-    "ancova_parametric",
-    "stratified_diff_means",
-    "stratified_sum_abs",
-    "stratified_change_scores",
-    "lm_permutation",
-    "freedman_lane",
-    "kennedy_test",
-    "manly_test",
     "npc_combine",
     "exchangeability_diagnostic",
-    "run_battery",
     "run_trial",
     "tally_battery",
     "METHODS",
@@ -95,8 +87,9 @@ class TrialData:
     """One endpoint's worth of a stratified trial, in canonical form.
 
     ``strata`` holds consecutive integer codes; ``stratum_labels[code]`` is
-    the original label.  Build instances with :meth:`from_arrays`, which
-    validates and canonicalizes.
+    the original label, and ``layout`` the trial's stratum sizes and treated
+    counts.  Build instances with :meth:`from_arrays`, which validates and
+    canonicalizes.
     """
 
     strata: np.ndarray
@@ -104,6 +97,7 @@ class TrialData:
     x: np.ndarray
     y: np.ndarray
     stratum_labels: tuple
+    layout: StratumLayout
 
     @classmethod
     def from_arrays(cls, strata, z, x, y) -> "TrialData":
@@ -125,18 +119,19 @@ class TrialData:
             raise ValueError("treatment indicator must contain only 0 and 1")
         labels, codes = np.unique(strata, return_inverse=True)
         z = z.astype(np.int8)
-        for code, label in enumerate(labels):
-            arm = z[codes == code]
-            if arm.min() == arm.max():
-                raise ValueError(
-                    f"stratum {label!r} lacks units in both arms"
-                )
+        sizes = np.bincount(codes)
+        treated = np.bincount(codes, weights=z).astype(int)
+        one_arm = np.flatnonzero((treated == 0) | (treated == sizes))
+        if one_arm.size:
+            raise ValueError(f"stratum {labels[one_arm[0]].item()!r} lacks units in both arms")
         return cls(
             strata=codes,
             z=z,
             x=x,
             y=y,
             stratum_labels=tuple(labels.tolist()),
+            layout=StratumLayout(sizes=tuple(sizes.tolist()),
+                                 treated=tuple(treated.tolist()), codes=codes),
         )
 
     @property
@@ -146,16 +141,6 @@ class TrialData:
     @property
     def n_strata(self) -> int:
         return len(self.stratum_labels)
-
-    @property
-    def layout(self) -> StratumLayout:
-        sizes = np.bincount(self.strata, minlength=self.n_strata)
-        treated = np.bincount(self.strata, weights=self.z, minlength=self.n_strata)
-        return StratumLayout(
-            sizes=tuple(int(v) for v in sizes),
-            treated=tuple(int(v) for v in treated),
-            codes=self.strata,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +178,16 @@ class NpcResult:
 # shared machinery
 
 
-def _check_plan(data: TrialData, plan: PermutationPlan) -> None:
-    lay = plan.layout
-    mine = data.layout
-    if (
-        lay.sizes != mine.sizes
-        or lay.treated != mine.treated
-        or not np.array_equal(lay.codes, mine.codes)
-    ):
-        raise ValueError("plan layout does not match the trial data")
+def _check_names(names, known) -> list:
+    """``names`` as a list, after checking each is in ``known`` and none repeats."""
+    names = list(names)
+    unknown = [m for m in names if m not in known]
+    if unknown:
+        raise ValueError(f"unknown tests {unknown}; choose from {sorted(known)}")
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise ValueError(f"tests named more than once: {repeated}")
+    return names
 
 
 def _fit_t(target, resp, df, resp_norm):
@@ -256,10 +242,6 @@ def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
     return t, int(np.count_nonzero(bad))
 
 
-def _row_ss(m: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", m, m)
-
-
 # ---------------------------------------------------------------------------
 # the null engine
 
@@ -299,14 +281,18 @@ class _Battery:
     """
 
     def __init__(self, data: TrialData, plan: PermutationPlan | None = None, methods=()):
-        if plan is not None:
-            _check_plan(data, plan)
-        self.data = data
-        self.plan = plan
         self.needs: dict = {}
         for method in methods:
             for rows, columns in _TESTS[method][1].items():
                 self.needs.setdefault(rows, {}).update(dict.fromkeys(columns))
+        if plan is None and self.needs:
+            raise ValueError("permutation tests need a permutation plan")
+        # Equal codes give equal stratum sizes.
+        if plan is not None and (plan.layout.treated != data.layout.treated
+                                 or not np.array_equal(plan.layout.codes, data.layout.codes)):
+            raise ValueError("plan layout does not match the trial data")
+        self.data = data
+        self.plan = plan
         self._columns: dict = {}
 
     @cached_property
@@ -496,19 +482,21 @@ class _Block:
         redo = np.nonzero(ss <= _CANCELLED * c)[0]
         if redo.size:
             v = battery._project(self._rows(rows, redo), with_x)
-            ss[redo] = _row_ss(v)
+            ss[redo] = np.einsum("ij,ij->i", v, v)
             dot[redo] = v @ battery.column(fixed)
         return dot, ss
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Scored:
-    """A test's observed side, and how it scores each block of draws.
+    """A test's observed side, how it scores a block of draws, and its tally.
 
     ``null(block)`` returns the block's null statistics and how many of its
-    draws were degenerate; it is None for the analytic test.  ``finish``,
-    when given, builds the result in place of the add-one p-value on
-    ``tail``, where draws within ``tie`` of the statistic count as ties.
+    draws were degenerate; it is None for the analytic test.  ``k`` counts
+    the draws at least as extreme as the statistic on ``tail``, where draws
+    within ``tie`` of it count as ties.  ``finish``, when given, builds the
+    result from the ``kept`` null statistics of every block in place of the
+    p-value from k.
     """
 
     method: str
@@ -520,19 +508,31 @@ class _Scored:
     per_stratum: tuple | None = None
     flags: tuple[str, ...] = ()
     finish: Callable | None = None
+    k: int = 0
+    draws: int = 0
+    degenerate: int = 0
+    kept: list = field(default_factory=list)
 
-    def result(self, null, degenerate: int, mode: str) -> TestResult:
+    def score(self, block) -> None:
+        null, degenerate = self.null(block)
+        if self.finish is None:
+            self.k += _exceedances(self.statistic, null, self.tail, self.tie)
+        else:
+            self.kept.append(null)
+        self.draws += null.shape[0]
+        self.degenerate += degenerate
+
+    def result(self, plan: PermutationPlan | None) -> TestResult:
         if self.finish is not None:
-            return self.finish(null, degenerate)
+            return self.finish(self.kept)
         return TestResult(
             method=self.method,
             statistic=self.statistic,
-            p_value=monte_carlo_pvalue(self.statistic, null, mode, tail=self.tail,
-                                       tie_tolerance=self.tie),
+            p_value=_pvalue(self.k, self.draws, plan.mode),
             df=self.df,
             per_stratum=self.per_stratum,
             flags=self.flags,
-            degenerate_draws=degenerate,
+            degenerate_draws=self.degenerate,
         )
 
 
@@ -540,8 +540,18 @@ class _Scored:
 # parametric reference
 
 
-def _ancova_result(stat, df, flags) -> TestResult:
-    return TestResult(
+def _ancova(battery: _Battery) -> _Scored:
+    """ANCOVA t test for the treatment effect, stratum intercepts included.
+
+    The model is y ~ stratum dummies + baseline + treatment; the statistic is
+    the treatment coefficient over its standard error and the p-value comes
+    from Student's t with N - J - 2 degrees of freedom.  The fit is made in
+    closed form from the columns centred within strata, by the code that
+    gives the regression permutation tests their observed statistic, so the
+    two agree exactly.  Nothing is drawn, so no plan is needed.
+    """
+    stat, df, flags = battery.observed
+    result = TestResult(
         method="ancova",
         statistic=stat,
         p_value=PValue(
@@ -552,26 +562,7 @@ def _ancova_result(stat, df, flags) -> TestResult:
         null_summary={"reference": f"t({df})"},
         flags=flags,
     )
-
-
-def _ancova(battery: _Battery) -> _Scored:
-    stat, df, flags = battery.observed
-    return _Scored("ancova", stat, None,
-                   finish=lambda null, degenerate: _ancova_result(stat, df, flags))
-
-
-def ancova_parametric(data: TrialData, plan: PermutationPlan | None = None) -> TestResult:
-    """ANCOVA t test for the treatment effect, stratum intercepts included.
-
-    The model is y ~ stratum dummies + baseline + treatment; the statistic is
-    the treatment coefficient over its standard error and the p-value comes
-    from Student's t with N - J - 2 degrees of freedom.  The fit is made in
-    closed form from the columns centred within strata, by the code that
-    gives the regression permutation tests their observed statistic, so the
-    two agree exactly.  ``plan`` is accepted for signature uniformity and
-    ignored.
-    """
-    return _ancova_result(*_Battery(data).observed)
+    return _Scored("ancova", stat, None, finish=lambda kept: result)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +577,10 @@ def _stratum_diffs(battery: _Battery, v) -> np.ndarray:
 
 
 def _diff_means(battery: _Battery, method: str, column: str) -> _Scored:
+    """Pooled difference in means, treated minus control, re-randomized
+    within strata: of the outcome (stratified_diff_means) or of the change
+    scores y - x (change_scores).  With x identically zero the two coincide
+    draw for draw."""
     v = battery.column(column)
     z = battery.data.z
     n_t = int(z.sum())
@@ -601,6 +596,8 @@ def _diff_means(battery: _Battery, method: str, column: str) -> _Scored:
 
 
 def _sum_abs(battery: _Battery) -> _Scored:
+    """Sum over strata of |treated mean - control mean|, re-randomized within
+    strata, right-tailed."""
     data, layout = battery.data, battery.plan.layout
     y_sums = battery.sums(data.y)
     per_stratum = _stratum_diffs(battery, data.y)
@@ -616,6 +613,13 @@ def _sum_abs(battery: _Battery) -> _Scored:
 
 
 def _lm_permutation(battery: _Battery) -> _Scored:
+    """Permutation test of the ANCOVA t statistic.
+
+    The observed statistic is ANCOVA's full-model t; the null refits it
+    under re-randomized treatment assignments (the baseline and stratum
+    columns stay put, so each draw reduces to two dot products with the
+    projected outcome and the baseline direction).
+    """
     t_obs, df, flags = battery.observed
     y_t = battery.column("y_t")
     resp_ss, raw_ss = float(y_t @ y_t), float(battery.data.z.sum())
@@ -627,35 +631,6 @@ def _lm_permutation(battery: _Battery) -> _Scored:
     return _Scored("lm_permutation", t_obs, null, df=df, flags=flags, tie=_t_tie(t_obs, df))
 
 
-def stratified_diff_means(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Pooled difference in outcome means, re-randomized within strata."""
-    return _run_one(data, plan, "stratified_diff_means")
-
-
-def stratified_change_scores(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Difference in means of the change scores y - x, re-randomized within
-    strata.  With x identically zero this coincides with
-    :func:`stratified_diff_means` draw for draw."""
-    return _run_one(data, plan, "change_scores")
-
-
-def stratified_sum_abs(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Sum over strata of |treated mean - control mean|, right-tailed."""
-    return _run_one(data, plan, "stratified_sum_abs")
-
-
-def lm_permutation(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Permutation test of the ANCOVA t statistic.
-
-    The observed statistic is the same full-model t as
-    :func:`ancova_parametric`; the null distribution refits it under
-    re-randomized treatment assignments (the baseline and stratum columns
-    stay put, so each draw reduces to two dot products with the projected
-    outcome and the baseline direction).
-    """
-    return _run_one(data, plan, "lm_permutation")
-
-
 # ---------------------------------------------------------------------------
 # residual / outcome permutation tests
 
@@ -663,9 +638,11 @@ def lm_permutation(data: TrialData, plan: PermutationPlan) -> TestResult:
 def _permuted_response(battery: _Battery, method: str, rows: str) -> _Scored:
     """Refit the full model to each permuted response, design held fixed.
 
-    The response is the null fit plus its residuals permuted within strata
-    (Freedman-Lane) or the outcomes permuted within strata (Manly); the null
-    fit lies in the nuisance span, so only the permuted part is projected.
+    Freedman-Lane fits the null model (stratum dummies + baseline) once,
+    permutes its residuals within strata and adds them back to the null
+    fitted values; Manly permutes the outcomes within strata.  The null fit
+    lies in the nuisance span, so only the permuted part is projected.  The
+    observed statistic is ANCOVA's, from the unpermuted full fit.
     """
     t_obs, df, flags = battery.observed
     z_t = battery.column("z_t")
@@ -679,14 +656,22 @@ def _permuted_response(battery: _Battery, method: str, rows: str) -> _Scored:
 
 
 def _kennedy(battery: _Battery) -> _Scored:
-    # z on the stratum dummies and the null residuals e: e is centred within
-    # strata already, so the fit needs only e and the centred z.
+    """Kennedy's variant: treatment regressed on permuted null residuals.
+
+    The observed statistic is the t of the (unpermuted) null-residual column
+    in a regression of z on the stratum dummies plus those residuals; each
+    draw re-estimates it with the residuals permuted within strata.  The
+    residuals are numerically zero, and the test flagged, when their norm is
+    at most ``_RANK_RTOL`` of the centred outcome's, which an offset of y
+    does not change.
+    """
+    # e is centred within strata already, so the fit needs only e and the
+    # centred z.
     data = battery.data
     eps, zc = battery.column("y_t"), battery.column("zc")
     df = data.n_units - data.n_strata - 1
     eps_ss, resp_ss = float(eps @ eps), float(zc @ zc)
-    if math.sqrt(eps_ss) <= _RANK_RTOL * float(np.linalg.norm(data.y)):
-        # Null residuals are (numerically) zero: nothing to regress on.
+    if math.sqrt(eps_ss) <= _RANK_RTOL * float(np.linalg.norm(battery.column("yc"))):
         t_obs, flags = 0.0, ("degenerate_null_residuals",)
     else:
         # z is 0/1, so its norm is the square root of its sum.
@@ -698,33 +683,6 @@ def _kennedy(battery: _Battery) -> _Scored:
         return _fwl_t(dot, ss, resp_ss, df, eps_ss)
 
     return _Scored("kennedy", t_obs, null, df=df, flags=flags, tie=_t_tie(t_obs, df))
-
-
-def freedman_lane(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Freedman-Lane permutation of the ANCOVA t statistic.
-
-    Null model (stratum dummies + baseline) is fit once; its residuals are
-    permuted within strata, added back to the null fitted values, and the
-    full model is refit to each reconstructed response.  The observed
-    statistic comes from the unpermuted full fit.
-    """
-    return _run_one(data, plan, "freedman_lane")
-
-
-def manly_test(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Manly's variant: outcomes permuted within strata against the fixed
-    design.  Same observed statistic as the other regression tests."""
-    return _run_one(data, plan, "manly")
-
-
-def kennedy_test(data: TrialData, plan: PermutationPlan) -> TestResult:
-    """Kennedy's variant: treatment regressed on permuted null residuals.
-
-    The observed statistic is the t of the (unpermuted) null-residual column
-    in a regression of z on stratum dummies plus those residuals; each draw
-    re-estimates it with the residuals permuted within strata.
-    """
-    return _run_one(data, plan, "kennedy")
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +763,8 @@ def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
     def null(block):
         return block.expand([p * s for p, s in zip(block.per_stratum(_RESIDUALS, "xc"), scale)]), 0
 
-    def finish(draws, degenerate):
-        npc = npc_combine(observed, draws, combiner=combiner, tail="two_sided")
+    def finish(kept):
+        npc = npc_combine(observed, np.concatenate(kept), combiner=combiner, tail="two_sided")
         return TestResult(
             method="exchangeability",
             statistic=npc.statistic,
@@ -837,8 +795,9 @@ def exchangeability_diagnostic(
     partial p of 1 and are flagged.
     """
     battery = _Battery(data, plan, ("exchangeability",))
-    scored = {"exchangeability": _exchangeability(battery, combiner)}
-    return _run(plan, [(battery, scored)])[0]["exchangeability"]
+    scored = _exchangeability(battery, combiner)
+    _run(plan, [(battery, {"exchangeability": scored})])
+    return scored.result(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -863,113 +822,78 @@ _TESTS = {
 }
 
 
-def _observed_sides(data: TrialData, plan: PermutationPlan, methods, known):
+def _observed_sides(data: TrialData, plan: PermutationPlan, methods):
     """The battery for ``methods`` and each test's observed side."""
-    unknown = [m for m in methods if m not in known]
-    if unknown:
-        raise ValueError(f"unknown tests {unknown}; choose from {sorted(known)}")
     battery = _Battery(data, plan, methods)
     return battery, {m: _TESTS[m][0](battery) for m in methods}
 
 
-def _run(plan: PermutationPlan, runs) -> list:
-    """Every result of several (battery, scored) pairs on one plan, from one
-    pass over its orbit, block by block; one ``{method: TestResult}`` per
-    pair."""
-    drawn = [{m: s for m, s in scored.items() if s.null is not None} for _, scored in runs]
-    nulls = [{m: [] for m in tests} for tests in drawn]
-    degenerate = [dict.fromkeys(tests, 0) for tests in drawn]
-    if any(drawn):
-        for blocks in _blocks(plan, [battery for battery, _ in runs]):
-            for block, tests, kept, bad in zip(blocks, drawn, nulls, degenerate):
-                for m, s in tests.items():
-                    null, count = s.null(block)
-                    kept[m].append(null)
-                    bad[m] += count
-            del blocks, block  # release this block before the next is drawn
-    return [{m: s.result(np.concatenate(kept[m]) if m in kept else None,
-                         bad.get(m, 0), plan.mode)
-             for m, s in scored.items()}
-            for (_, scored), kept, bad in zip(runs, nulls, degenerate)]
+def _run(plan: PermutationPlan, runs, stop_at: int | None = None) -> None:
+    """Score the tests of several (battery, tests) pairs on one plan, block
+    by block, in one pass over its orbit.  With ``stop_at``, a test drops out
+    once its k reaches ``stop_at``, and drawing stops once none is left."""
+    live = [(i, s) for i, (_, tests) in enumerate(runs) for s in tests.values()
+            if s.null is not None]
+    orbit = _blocks(plan, [battery for battery, _ in runs])
+    while True:
+        live = [(i, s) for i, s in live if stop_at is None or s.k < stop_at]
+        blocks = next(orbit, None) if live else None
+        if blocks is None:
+            return
+        for i, s in live:
+            s.score(blocks[i])
+        del blocks  # release this block before the next is drawn
 
 
-def _run_one(data: TrialData, plan: PermutationPlan, method: str) -> TestResult:
-    return run_battery(data, plan, (method,))[method]
-
-
-def run_battery(data: TrialData, plan: PermutationPlan, methods) -> dict:
-    """Run several tests on one (data, plan), drawing the orbit once.
-
-    ``methods`` are names from :data:`METHODS` or ``"exchangeability"``.
-    Returns ``{method: TestResult}``; each result is the one the test's own
-    function returns for the same (data, plan), because every test run with
-    one plan sees the same draws.
-    """
-    return run_trial([data], plan, methods)[0]
-
-
-def run_trial(endpoints, plan: PermutationPlan, methods) -> list:
+def run_trial(endpoints, plan: PermutationPlan | None, methods) -> list:
     """Run the same tests on several endpoints of one trial, drawing the
     orbit once for all of them.
 
     ``endpoints`` are :class:`TrialData` sharing ``plan``'s layout and
-    ``methods`` are names from :data:`METHODS` or ``"exchangeability"``.
-    Returns one ``{method: TestResult}`` per endpoint, each equal to
-    :func:`run_battery` on that endpoint and plan: every block of draws is
-    drawn once and scored for every endpoint, so all results come from one
-    re-randomization of the trial.
+    ``methods`` are names from :data:`METHODS` or ``"exchangeability"``,
+    each named once.  Returns one ``{method: TestResult}`` per endpoint, in
+    the order of ``methods``: every block of draws is drawn once and scored
+    for every endpoint and test, so all results come from one
+    re-randomization of the trial, and each equals the one the test gives
+    on its own with that plan.  Only ANCOVA runs without a plan.
     """
-    methods = list(methods)
-    return _run(plan, [_observed_sides(data, plan, methods, _TESTS) for data in endpoints])
+    methods = _check_names(methods, _TESTS)
+    runs = [_observed_sides(data, plan, methods) for data in endpoints]
+    _run(plan, runs)
+    return [{m: s.result(plan) for m, s in tests.items()} for _, tests in runs]
 
 
 def tally_battery(data: TrialData, plan: PermutationPlan, methods, stop_at: int) -> dict:
     """Each test's p-value from as few draws as decide it, for power studies.
 
-    Counts each permutation test's exceedances block by block, with the
-    comparison :func:`~stratperm.randomization.monte_carlo_pvalue` uses, and
-    stops counting a test once its count k reaches ``stop_at``; drawing
-    stops when every test has.  ``plan`` is a Monte-Carlo plan of B draws
-    and ``methods`` are names from :data:`METHODS`.
+    Counts each permutation test's exceedances block by block, as
+    :func:`run_trial` does, and stops counting a test once its count k
+    reaches ``stop_at``; drawing stops when every test has.  ``plan`` is a
+    Monte-Carlo plan of B draws and ``methods`` are names from
+    :data:`METHODS`, each named once.
 
     Returns ``{method: (p, draws used)}``: p = (k + 1) / (B + 1) for a
     permutation test and the analytic p, with 0 draws, for ANCOVA.  A test
-    that used all B draws has the p-value :func:`run_battery` gives for the
+    that used all B draws has the p-value :func:`run_trial` gives for the
     same (data, plan); a test stopped earlier has a lower bound on it.  With
     ``stop_at`` the smallest k whose (k + 1) / (B + 1) is not rejected, a
     stopped test is therefore not rejected, as in the full run.
     """
     if plan.mode != "monte_carlo":
         raise ValueError("tally_battery needs a monte_carlo plan")
-    battery, scored = _observed_sides(data, plan, list(methods), METHODS)
-    counts = {m: 0 for m, s in scored.items() if s.null is not None}
-    used = dict.fromkeys(counts, 0)
-    live = [m for m in counts if counts[m] < stop_at]
-    blocks = _blocks(plan, [battery])
-    while live:
-        block = next(blocks, [None])[0]
-        if block is None:
-            break
-        for m in live:
-            null = scored[m].null(block)[0]
-            counts[m] += _exceedances(scored[m].statistic, null, scored[m].tail, scored[m].tie)
-            used[m] += null.shape[0]
-        live = [m for m in live if counts[m] < stop_at]
-        del block  # release this block before the next is drawn
-    return {m: ((counts[m] + 1) / (plan.draws + 1), used[m]) if m in counts
-            else (s.result(None, 0, plan.mode).p_value.value, 0)
-            for m, s in scored.items()}
+    battery, tests = _observed_sides(data, plan, _check_names(methods, METHODS))
+    _run(plan, [(battery, tests)], stop_at)
+    return {m: (_pvalue(s.k, plan.draws, plan.mode).value, s.draws) if s.null is not None
+            else (s.result(plan).p_value.value, 0)
+            for m, s in tests.items()}
 
 
-# Registry used by the simulation engine and the command line.  All entries
-# share the (data, plan) signature; the parametric test ignores the plan.
-METHODS = {
-    "ancova": ancova_parametric,
-    "stratified_diff_means": stratified_diff_means,
-    "stratified_sum_abs": stratified_sum_abs,
-    "change_scores": stratified_change_scores,
-    "lm_permutation": lm_permutation,
-    "freedman_lane": freedman_lane,
-    "kennedy": kennedy_test,
-    "manly": manly_test,
-}
+def _runner(method: str) -> Callable:
+    def run(data: TrialData, plan: PermutationPlan | None = None) -> TestResult:
+        return run_trial([data], plan, [method])[0][method]
+    return run
+
+
+# Each test run on its own, as ``METHODS[name](data, plan)``; its scorer
+# above describes it.  ANCOVA needs no plan.
+METHODS = {name: _runner(name) for name in _TESTS if name != "exchangeability"}

@@ -120,23 +120,6 @@ class StratumLayout:
         codes = np.repeat(np.arange(len(sizes)), sizes)
         return cls(sizes=sizes, treated=tuple(int(t) for t in treated), codes=codes)
 
-    @classmethod
-    def from_assignment(cls, strata, z) -> "StratumLayout":
-        """Layout inferred from observed stratum labels and treatment."""
-        strata = np.asarray(strata)
-        z = np.asarray(z)
-        labels, codes = np.unique(strata, return_inverse=True)
-        sizes = np.bincount(codes)
-        treated = np.bincount(codes, weights=z).astype(int)
-        for label, n, t in zip(labels, sizes, treated):
-            if not 0 < t < n:
-                raise ValueError(
-                    f"stratum {label!r} needs units in both arms "
-                    f"(size {n}, treated {t})"
-                )
-        return cls(sizes=tuple(int(n) for n in sizes),
-                   treated=tuple(int(t) for t in treated), codes=codes)
-
     @property
     def n_units(self) -> int:
         return int(self.codes.shape[0])
@@ -367,8 +350,8 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
 def _exceedances(observed: float, draws: np.ndarray, tail: str,
                  tie_tolerance: float = TIE_TOLERANCE) -> int:
     """Number of draws at least as extreme as ``observed`` (see
-    :func:`monte_carlo_pvalue`); the comparison that function and the power
-    study's tally share."""
+    :func:`monte_carlo_pvalue`); the comparison that function and the test
+    battery's block loop share."""
     observed = float(observed)
     if not math.isfinite(observed):
         raise ValueError("observed statistic must be finite")
@@ -395,8 +378,12 @@ def monte_carlo_pvalue(
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 1 or draws.size == 0:
         raise ValueError("need a non-empty vector of null draws")
-    k = _exceedances(observed, draws, tail, tie_tolerance)
-    b = draws.size
+    return _pvalue(_exceedances(observed, draws, tail, tie_tolerance), draws.size, mode)
+
+
+def _pvalue(k: int, b: int, mode: str) -> PValue:
+    """The p-value of k exceedances among b draws: the add-one rule over a
+    sample of the orbit, k / b over the whole orbit (see :class:`PValue`)."""
     if mode == "monte_carlo":
         return PValue(value=(k + 1) / (b + 1), exceedances=k, draws=b, mode=mode)
     if mode == "exact":

@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .hypothesis_tests import METHODS, TestResult, TrialData, run_trial
+from .hypothesis_tests import METHODS, TestResult, TrialData, _check_names, run_trial
 from .randomization import DRAW_SCHEME, PermutationPlan
 
 __all__ = [
@@ -430,21 +430,15 @@ def run_analysis(
     serves every endpoint and test.  Its orbit is drawn once, block by
     block, and every row is scored from the same draws: the exchangeability
     diagnostic (attached whenever freedman_lane is requested) too, so its
-    rows equal :func:`diagnose_exchangeability`'s.  Each row equals
-    :func:`~stratperm.hypothesis_tests.run_battery` on its endpoint and that
-    plan.  A test named twice is rejected.
+    rows equal :func:`diagnose_exchangeability`'s.  Each row equals its
+    test's :data:`~stratperm.hypothesis_tests.METHODS` entry run on its
+    endpoint and that plan.  A test named twice is rejected.
 
     P-values for a given seed differ from those of versions that gave every
     (endpoint, method) pair a stream of its own.  Report contents carry no
     timestamps, so rerunning with the same inputs is byte-identical.
     """
-    methods = list(methods)
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise ValueError(f"tests named more than once: {repeated}")
+    methods = _check_names(methods, METHODS)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     diagnosed = "freedman_lane" in methods

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypothesis_tests import METHODS, TrialData, tally_battery
+from .hypothesis_tests import METHODS, TrialData, _check_names, tally_battery
 from .randomization import (
     PermutationPlan,
     StratumLayout,
@@ -75,7 +75,12 @@ _ALPHA_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one simulation scenario."""
+    """Everything needed to reproduce one simulation scenario.
+
+    ``layout``, the :class:`StratumLayout` of ``sizes`` and ``treated``, is
+    built once, with the config.  It is not a field, so equality and
+    ``asdict`` (the JSON output) see only the scenario's settings.
+    """
 
     scenario_id: str
     family: str
@@ -116,18 +121,9 @@ class ScenarioConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.replications < 1 or self.permutations < 1:
             raise ValueError("replications and permutations must be positive")
-        unknown = [t for t in self.tests if t not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown tests {unknown}; choose from {sorted(METHODS)}")
-        repeated = sorted({t for t in self.tests if self.tests.count(t) > 1})
-        if repeated:
-            raise ValueError(f"tests named more than once: {repeated}")
-        # Validates sizes/treated pairing.
-        StratumLayout.from_counts(self.sizes, self.treated)
-
-    @property
-    def layout(self) -> StratumLayout:
-        return StratumLayout.from_counts(self.sizes, self.treated)
+        _check_names(self.tests, METHODS)
+        # Validates the sizes/treated pairing.
+        object.__setattr__(self, "layout", StratumLayout.from_counts(self.sizes, self.treated))
 
 
 @dataclass(frozen=True, eq=False)

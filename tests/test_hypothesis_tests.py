@@ -19,17 +19,9 @@ from stratperm import hypothesis_tests
 from stratperm.hypothesis_tests import (
     METHODS,
     TrialData,
-    ancova_parametric,
     exchangeability_diagnostic,
-    freedman_lane,
-    kennedy_test,
-    lm_permutation,
-    manly_test,
     npc_combine,
-    run_battery,
-    stratified_change_scores,
-    stratified_diff_means,
-    stratified_sum_abs,
+    run_trial,
 )
 from stratperm.linear_model import SingularDesignError, student_t_two_sided_p
 from stratperm.randomization import (
@@ -102,7 +94,7 @@ def test_from_arrays_canonicalizes_labels():
 
 
 def test_from_arrays_rejects_single_arm_stratum():
-    with pytest.raises(ValueError, match="both arms"):
+    with pytest.raises(ValueError, match="stratum 0 lacks units in both arms"):
         TrialData.from_arrays(
             np.array([0, 0, 1, 1]),
             np.array([1, 1, 1, 0]),
@@ -126,7 +118,7 @@ def test_from_arrays_rejects_non_finite_and_bad_z():
 
 def test_ancova_matches_independent_fit():
     data = small_trial()
-    result = ancova_parametric(data)
+    result = METHODS["ancova"](data)
     t_ref = refit_t(data.strata, data.x, data.z, data.y)
     assert result.statistic == pytest.approx(t_ref, abs=1e-10)
     assert result.df == 8 - 2 - 2
@@ -138,8 +130,8 @@ def test_ancova_matches_independent_fit():
 
 def test_ancova_and_lm_permutation_share_observed_statistic():
     data = small_trial()
-    a = ancova_parametric(data)
-    b = lm_permutation(data, exact_plan(data))
+    a = METHODS["ancova"](data)
+    b = METHODS["lm_permutation"](data, exact_plan(data))
     assert a.statistic == b.statistic
 
 
@@ -149,7 +141,7 @@ def test_ancova_and_lm_permutation_share_observed_statistic():
 
 def test_stratified_diff_means_exact_matches_brute_force():
     data = small_trial()
-    result = stratified_diff_means(data, exact_plan(data))
+    result = METHODS["stratified_diff_means"](data, exact_plan(data))
     zmat = enumerate_assignments(data.layout)
     y = data.y
     obs = y[data.z == 1].mean() - y[data.z == 0].mean()
@@ -162,7 +154,7 @@ def test_stratified_diff_means_exact_matches_brute_force():
 
 def test_sum_abs_exact_matches_brute_force():
     data = small_trial()
-    result = stratified_sum_abs(data, exact_plan(data))
+    result = METHODS["stratified_sum_abs"](data, exact_plan(data))
     zmat = enumerate_assignments(data.layout)
     y, s = data.y, data.strata
 
@@ -184,7 +176,7 @@ def test_sum_abs_exact_matches_brute_force():
 
 def test_lm_permutation_exact_matches_full_refits():
     data = small_trial()
-    result = lm_permutation(data, exact_plan(data))
+    result = METHODS["lm_permutation"](data, exact_plan(data))
     zmat = enumerate_assignments(data.layout)
     t_obs = refit_t(data.strata, data.x, data.z, data.y)
     draws = np.array(
@@ -197,7 +189,7 @@ def test_lm_permutation_exact_matches_full_refits():
 
 def test_freedman_lane_exact_matches_full_refits():
     data = small_trial()
-    result = freedman_lane(data, exact_plan(data))
+    result = METHODS["freedman_lane"](data, exact_plan(data))
 
     design0 = build_design(data.strata, data.x)
     fit0 = fit_least_squares(design0, data.y)
@@ -221,7 +213,7 @@ def test_freedman_lane_exact_matches_full_refits():
 
 def test_manly_exact_matches_full_refits():
     data = small_trial()
-    result = manly_test(data, exact_plan(data))
+    result = METHODS["manly"](data, exact_plan(data))
     perms = enumerate_within_stratum_permutations(data.layout)
     t_obs = refit_t(data.strata, data.x, data.z, data.y)
     draws = np.array(
@@ -236,7 +228,7 @@ def test_manly_exact_matches_full_refits():
 
 def test_kennedy_exact_matches_full_refits():
     data = small_trial()
-    result = kennedy_test(data, exact_plan(data))
+    result = METHODS["kennedy"](data, exact_plan(data))
 
     design0 = build_design(data.strata, data.x)
     fit0 = fit_least_squares(design0, data.y)
@@ -263,8 +255,8 @@ def test_kennedy_exact_matches_full_refits():
 
 def test_monte_carlo_tracks_exact_on_small_orbit():
     data = small_trial()
-    exact = stratified_diff_means(data, exact_plan(data)).p_value.value
-    mc = stratified_diff_means(data, mc_plan(data, draws=10_000)).p_value.value
+    exact = METHODS["stratified_diff_means"](data, exact_plan(data)).p_value.value
+    mc = METHODS["stratified_diff_means"](data, mc_plan(data, draws=10_000)).p_value.value
     bound = 3.0 * np.sqrt(exact * (1.0 - exact) / 10_000)
     assert abs(mc - exact) <= bound + 1e-4
 
@@ -282,7 +274,7 @@ def test_lm_permutation_scores_singular_draws_zero():
     z = np.array([1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1], dtype=np.int8)
     y = 0.7 * x + 0.8 * z + rng.standard_normal(12)
     data = TrialData.from_arrays(strata, z, x, y)
-    result = lm_permutation(data, exact_plan(data))
+    result = METHODS["lm_permutation"](data, exact_plan(data))
     assert result.degenerate_draws == 2
 
     dummies = np.equal.outer(strata, np.array([0, 1])).astype(float)
@@ -305,14 +297,14 @@ def test_outcome_equal_to_baseline_gives_p_one():
     z = np.array([1, 1, 0, 0, 1, 0, 1, 0], dtype=np.int8)
     x = np.arange(8.0)
     data = TrialData.from_arrays(strata, z, x, x.copy())
-    a = ancova_parametric(data)
+    a = METHODS["ancova"](data)
     assert a.p_value.value == 1.0
     assert "degenerate_residual_variance" in a.flags
 
-    fl = freedman_lane(data, exact_plan(data))
+    fl = METHODS["freedman_lane"](data, exact_plan(data))
     assert fl.p_value.value == 1.0
 
-    lm = lm_permutation(data, exact_plan(data))
+    lm = METHODS["lm_permutation"](data, exact_plan(data))
     assert lm.p_value.value == 1.0
 
 
@@ -333,9 +325,27 @@ def test_kennedy_flags_zero_null_residuals():
     x = np.arange(8.0)
     y = 2.0 * x + np.where(strata == 0, 1.0, -1.0)  # exactly in the null span
     data = TrialData.from_arrays(strata, z, x, y)
-    result = kennedy_test(data, exact_plan(data))
+    result = METHODS["kennedy"](data, exact_plan(data))
     assert "degenerate_null_residuals" in result.flags
     assert result.p_value.value == 1.0
+
+
+def test_kennedy_flag_does_not_depend_on_an_offset():
+    # Integer outcomes in 0-3 plus an offset are exact in double precision,
+    # and the centring within strata removes the offset: the null residuals
+    # are the same at every offset, and none of them is flagged as zero.
+    rng = np.random.default_rng(12)
+    strata = np.repeat([0, 1], 6)
+    z = np.tile(np.int8([1, 0]), 6)
+    x = rng.standard_normal(12)
+    y = rng.integers(0, 4, 12).astype(float)
+    results = []
+    for offset in (0.0, 1e6, 1e9, 1e10):
+        data = TrialData.from_arrays(strata, z, x, y + offset)
+        results.append(METHODS["kennedy"](data, mc_plan(data)))
+        assert results[-1].flags == (), offset
+        assert results[-1].statistic == pytest.approx(results[0].statistic, rel=1e-9), offset
+        assert results[-1].p_value == results[0].p_value, offset
 
 
 def test_a_large_t_ties_with_its_own_draw():
@@ -349,7 +359,7 @@ def test_a_large_t_ties_with_its_own_draw():
     z = np.array([0, 1, 0, 0, 0, 1], dtype=np.int8)
     x = np.array([0.27699685, -1.10587653, 0.47602781, -2.50602894, 1.15255395, 0.96391986])
     data = TrialData.from_arrays(strata, z, x, 3.0 - z)
-    result = kennedy_test(data, exact_plan(data))
+    result = METHODS["kennedy"](data, exact_plan(data))
     assert result.statistic == pytest.approx(-59.832074100195, rel=1e-12)
     assert result.p_value.exceedances == 4
 
@@ -360,8 +370,8 @@ def test_change_scores_reduce_to_diff_means_when_baseline_is_zero():
     z = np.array([1, 0, 1, 0, 0, 1, 0, 1], dtype=np.int8)
     y = rng.standard_normal(8)
     data = TrialData.from_arrays(strata, z, np.zeros(8), y)
-    a = stratified_diff_means(data, exact_plan(data))
-    b = stratified_change_scores(data, exact_plan(data))
+    a = METHODS["stratified_diff_means"](data, exact_plan(data))
+    b = METHODS["change_scores"](data, exact_plan(data))
     assert a.p_value.value == b.p_value.value
     assert a.statistic == b.statistic
 
@@ -419,7 +429,7 @@ def test_regression_tests_do_not_depend_on_units(seed, c, k, m):
     results = []
     for xs, ys in ((x, y), (c * x, y), (x, b * (m + y))):
         data = TrialData.from_arrays(strata, z, xs, ys)
-        results.append(run_battery(data, exact_plan(data), REGRESSION_TESTS))
+        results.append(run_trial([data], exact_plan(data), REGRESSION_TESTS)[0])
     base = results[0]
     for moved in results[1:]:
         for name in REGRESSION_TESTS:
@@ -432,12 +442,12 @@ def test_regression_tests_do_not_depend_on_units(seed, c, k, m):
 
 def test_rank_checks_compare_each_column_with_its_own_norm():
     data = small_trial()
-    t = ancova_parametric(data).statistic
+    t = METHODS["ancova"](data).statistic
     for scale in (1e-12, 1e12):
         small_x = TrialData.from_arrays(data.strata, data.z, scale * data.x, data.y)
-        assert ancova_parametric(small_x).statistic == pytest.approx(t, rel=1e-12)
+        assert METHODS["ancova"](small_x).statistic == pytest.approx(t, rel=1e-12)
         small_y = TrialData.from_arrays(data.strata, data.z, data.x, scale * data.y)
-        assert kennedy_test(small_y, exact_plan(small_y)).flags == ()
+        assert METHODS["kennedy"](small_y, exact_plan(small_y)).flags == ()
     # x constant within strata, however small: the baseline is the stratum
     # intercepts again.  x a stratum shift plus the treatment: z is in the
     # span of the intercepts and the baseline.
@@ -445,7 +455,7 @@ def test_rank_checks_compare_each_column_with_its_own_norm():
                        (np.where(data.strata == 0, 2.0, 5.0) + 3.0 * data.z, "treatment")):
         moved = TrialData.from_arrays(data.strata, data.z, x, data.y)
         with pytest.raises(SingularDesignError, match=f"'{culprit}'"):
-            ancova_parametric(moved)
+            METHODS["ancova"](moved)
 
 
 def test_plan_layout_mismatch_is_rejected():
@@ -456,7 +466,7 @@ def test_plan_layout_mismatch_is_rejected():
         master_seed=1,
     )
     with pytest.raises(ValueError, match="layout"):
-        stratified_diff_means(data, wrong)
+        METHODS["stratified_diff_means"](data, wrong)
 
 
 def test_methods_registry_is_complete_and_runnable():
@@ -475,8 +485,15 @@ def test_methods_registry_is_complete_and_runnable():
     plan = mc_plan(data, draws=60)
     for name, func in METHODS.items():
         result = func(data, plan)
+        assert isinstance(result, hypothesis_tests.TestResult), name
         assert result.method == name
         assert 0.0 < result.p_value.value <= 1.0
+    # ANCOVA draws nothing, so it needs no plan; the permutation tests do.
+    without = METHODS["ancova"](data)
+    assert without.method == "ancova"
+    assert without.p_value == METHODS["ancova"](data, plan).p_value
+    with pytest.raises(ValueError, match="plan"):
+        METHODS["lm_permutation"](data)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +756,7 @@ def test_one_battery_call_equals_the_separate_calls(mode, seed, sizes, draws):
     data = interleaved_trial(seed, sizes)
     plan = PermutationPlan(layout=data.layout, mode=mode, draws=draws, master_seed=seed)
     names = list(METHODS) + ["exchangeability"]
-    together = run_battery(data, plan, names)
+    together = run_trial([data], plan, names)[0]
     assert list(together) == names
     for name in names:
         alone = (exchangeability_diagnostic if name == "exchangeability"
@@ -807,7 +824,7 @@ def test_exact_memory_is_set_by_the_orbit_not_its_units():
     orbit = 604_800
     tracemalloc.start()
     try:
-        result = freedman_lane(data, exact_plan(data))
+        result = METHODS["freedman_lane"](data, exact_plan(data))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -818,7 +835,13 @@ def test_exact_memory_is_set_by_the_orbit_not_its_units():
 def test_battery_rejects_unknown_tests():
     data = small_trial()
     with pytest.raises(ValueError, match="unknown"):
-        run_battery(data, mc_plan(data), ["lm_permutation", "t_test"])
+        run_trial([data], mc_plan(data), ["lm_permutation", "t_test"])
+
+
+def test_battery_rejects_repeated_tests():
+    data = small_trial()
+    with pytest.raises(ValueError, match="more than once"):
+        run_trial([data], mc_plan(data), ["lm_permutation", "lm_permutation"])
 
 
 def test_battery_raises_singular_design_before_dividing_by_zero():
@@ -831,12 +854,13 @@ def test_battery_raises_singular_design_before_dividing_by_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularDesignError):
-            run_battery(data, plan, ["stratified_diff_means", "lm_permutation"])
-        alone = run_battery(data, plan, ["stratified_diff_means"])
-    assert alone["stratified_diff_means"].p_value == stratified_diff_means(data, plan).p_value
+            run_trial([data], plan, ["stratified_diff_means", "lm_permutation"])
+        alone = run_trial([data], plan, ["stratified_diff_means"])[0]
+    diff_means = METHODS["stratified_diff_means"](data, plan)
+    assert alone["stratified_diff_means"].p_value == diff_means.p_value
 
 
-@pytest.mark.parametrize("test", [lm_permutation, freedman_lane], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("test", ["lm_permutation", "freedman_lane"])
 def test_memory_does_not_grow_with_the_number_of_draws(test):
     # Draws are made and scored in blocks of at most 1,024, so the peak is
     # set by the block and the trial, not by the number of draws.
@@ -849,7 +873,7 @@ def test_memory_does_not_grow_with_the_number_of_draws(test):
     for draws in (5_000, 20_000):
         tracemalloc.start()
         try:
-            test(data, mc_plan(data, draws=draws))
+            METHODS[test](data, mc_plan(data, draws=draws))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -70,20 +70,9 @@ def test_layout_from_counts_and_positions():
     np.testing.assert_array_equal(positions[1], [3, 4])
 
 
-def test_layout_from_assignment_roundtrip():
-    strata = np.array(["b", "a", "b", "a", "b", "b"])
-    z = np.array([1, 0, 0, 1, 1, 0])
-    layout = StratumLayout.from_assignment(strata, z)
-    assert layout.sizes == (2, 4)
-    assert layout.treated == (1, 2)
-    np.testing.assert_array_equal(layout.codes, [1, 0, 1, 0, 1, 1])
-
-
 def test_layout_rejects_empty_arm():
     with pytest.raises(ValueError, match="0 < "):
         StratumLayout.from_counts((4, 4), (2, 4))
-    with pytest.raises(ValueError, match="both arms"):
-        StratumLayout.from_assignment(np.array([0, 0, 1, 1]), np.array([1, 0, 1, 1]))
 
 
 def test_layout_rejects_code_mismatch():

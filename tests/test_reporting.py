@@ -8,7 +8,7 @@ import pytest
 
 from stratperm import randomization
 from stratperm.cli import main
-from stratperm.hypothesis_tests import METHODS, run_battery
+from stratperm.hypothesis_tests import METHODS, run_trial
 from stratperm.randomization import PermutationPlan
 from stratperm.reporting import (
     AnalysisReport,
@@ -408,7 +408,7 @@ def test_every_row_equals_run_battery_on_the_trial_plan(draws):
     for name, diag in zip(dataset.endpoint_names, report.exchangeability):
         data = dataset.endpoints[name]
         plan = PermutationPlan(layout=data.layout, draws=draws, master_seed=17)
-        expected = run_battery(data, plan, methods + ["exchangeability"])
+        expected = run_trial([data], plan, methods + ["exchangeability"])[0]
         for method in methods:
             row, want = next(rows), expected[method]
             assert (row["endpoint"], row["method"]) == (name, method)

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from stratperm.hypothesis_tests import METHODS, run_battery, tally_battery
-from stratperm.randomization import PermutationPlan, derive_stream
+from stratperm.hypothesis_tests import METHODS, run_trial, tally_battery
+from stratperm.randomization import PermutationPlan, StratumLayout, derive_stream
 from stratperm.simulation import (
     DEFAULT_TESTS,
     ERROR_DISTS,
@@ -332,7 +332,7 @@ def test_stopped_replications_decide_as_full_runs(family, latent, error_dist):
         for index in range(3):
             data, plan, _ = _replication_inputs(cfg, index)
             p, used = _score_replication(cfg, data, plan)
-            full = run_battery(data, plan, tests)
+            full = run_trial([data], plan, tests)[0]
             full_p = np.array([full[t].p_value.value for t in tests])
             np.testing.assert_array_equal(p <= alpha + _ALPHA_SLACK,
                                           full_p <= alpha + _ALPHA_SLACK)
@@ -354,13 +354,28 @@ def test_tally_stops_after_the_first_block_whose_count_reaches_stop_at():
     cfg = config(gamma=0.0, permutations=3000, tests=tuple(METHODS), master_seed=99)
     data, plan, _ = _replication_inputs(cfg, 0)
     # The first 1,024 of a plan's draws are those of a plan of 1,024 draws.
-    first = run_battery(data, dataclasses.replace(plan, draws=1024), cfg.tests)
+    first = run_trial([data], dataclasses.replace(plan, draws=1024), cfg.tests)[0]
     for name in cfg.tests[1:]:
         k = first[name].p_value.exceedances
         p, used = tally_battery(data, plan, (name,), stop_at=k)[name]
         assert (p, used) == ((k + 1) / 3001, 1024)
         p, used = tally_battery(data, plan, (name,), stop_at=k + 1)[name]
         assert used > 1024 and p * 3001 - 1 >= k
+
+
+def test_a_replication_builds_one_layout(monkeypatch):
+    cfg = config(permutations=200)
+    built = []
+    post_init = StratumLayout.__post_init__
+
+    def counting(layout):
+        built.append(layout)
+        post_init(layout)
+
+    monkeypatch.setattr(StratumLayout, "__post_init__", counting)
+    data, plan, _ = _replication_inputs(cfg, 0)
+    _score_replication(cfg, data, plan)
+    assert len(built) <= 1
 
 
 def test_tally_needs_a_monte_carlo_plan():
