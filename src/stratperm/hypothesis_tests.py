@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .linear_model import SingularDesignError, student_t_two_sided_p
 from .randomization import (
@@ -719,6 +718,10 @@ def _combine(p: np.ndarray, combiner: str) -> np.ndarray:
         if combiner == "tippett":
             return 1.0 - np.min(p, axis=-1)
         if combiner == "liptak":
+            # Only this combiner needs scipy.special, whose import would
+            # double the start-up time of every command.
+            from scipy.special import ndtri
+
             return np.sum(ndtri(1.0 - p), axis=-1)
     raise ValueError(f"unknown combiner {combiner!r}")
 

@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .hypothesis_tests import METHODS, TestResult, TrialData, _check_names, run_trial
@@ -74,6 +73,8 @@ def _csv_text(rows) -> str:
 def _engine_provenance() -> dict:
     """The engine, how it draws Monte-Carlo orbits, and the numerical
     libraries behind a result; recorded in reports and simulation output."""
+    import scipy  # only its version is read, so importing the package skips it
+
     return {
         "engine": "stratperm",
         "version": __version__,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,6 +407,8 @@ def run_power_study(
             if progress is not None:
                 progress(done, r)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = 0
             for idx, bp, bd, ba in pool.map(

@@ -426,3 +426,31 @@ def test_import_leaves_scipy_linalg_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_commands_leave_scipy_special_and_the_process_pool_unloaded(trial_csv, tmp_path):
+    # The t tail is computed with math, scipy.special serves only the liptak
+    # combiner, and one worker needs no process pool: none of the three
+    # commands pays for importing them.
+    scenario = scenario_file(tmp_path, replications=4, permutations=19,
+                             tests=["ancova", "stratified_diff_means", "freedman_lane"])
+    script = "\n".join([
+        "import json, sys",
+        "from stratperm.cli import main",
+        f"csv, scenario, out = {str(trial_csv)!r}, {str(scenario)!r}, {str(tmp_path)!r}",
+        "codes = [",
+        "    main(['analyze', '--input', csv, '--permutations', '99',",
+        "          '--out', out + '/report.json']),",
+        "    main(['diagnose', '--input', csv, '--permutations', '99',",
+        "          '--out', out + '/diag.json']),",
+        "    main(['simulate', '--scenario', scenario, '--workers', '1',",
+        "          '--out', out + '/power.csv', '--json', out + '/power.json']),",
+        "]",
+        "loaded = [m for m in ('scipy.special', 'concurrent.futures.process')",
+        "          if m in sys.modules]",
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "loaded": []}

@@ -3,8 +3,9 @@
 The package fits in closed form; the QR fit in ``reference/least_squares.py``
 is what the oracle tests compare it with, so it is checked here against
 explicit normal equations solved with numpy.linalg.solve.  The Student-t
-tail is checked against closed-form formulas for df=1, df=2 and every even
-df, and against scipy.stats on a grid.
+tail, which the package computes without scipy, is checked against
+closed-form formulas for df=1, df=2 and every even df, against scipy.stats on
+a grid and against scipy.special.stdtr on a fine one.
 """
 import math
 
@@ -207,6 +208,26 @@ def test_t_pvalue_matches_scipy_grid():
             assert student_t_two_sided_p(t, df) == pytest.approx(
                 expected, rel=1e-10, abs=1e-12
             )
+
+
+def test_t_pvalue_matches_scipy_stdtr_on_a_fine_grid():
+    # The tail is computed without scipy; scipy's stdtr is the reference.
+    from scipy.special import stdtr
+
+    ts = np.logspace(-3, math.log10(60.0), 6000)
+    for df in [*range(1, 201), 499, 1994, 10**4, 10**5]:
+        got = np.array([student_t_two_sided_p(t, df) for t in ts])
+        assert np.all((got > 0.0) & (got <= 1.0)), df
+        expected = 2.0 * stdtr(df, -ts)
+        kept = expected > 1e-300
+        rel = np.abs(got[kept] - expected[kept]) / expected[kept]
+        worst = int(np.argmax(rel))
+        bound = 1e-12 if df <= 2000 else 1e-10
+        assert rel[worst] <= bound, (df, ts[kept][worst], rel[worst])
+    # t^2 overflows and t^2 / df underflows, but the tail is still exact.
+    assert student_t_two_sided_p(1e200, 1) == pytest.approx(2.0 / (math.pi * 1e200),
+                                                            rel=1e-12)
+    assert student_t_two_sided_p(5e-324, 10**6) == 1.0
 
 
 def test_t_pvalue_extreme_tail_is_tiny_but_positive():

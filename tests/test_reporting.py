@@ -399,7 +399,7 @@ def three_endpoint_dataset(seed=21):
 
 
 @pytest.mark.parametrize("draws", [999, 2500], ids=["one-block", "three-blocks"])
-def test_every_row_equals_run_battery_on_the_trial_plan(draws):
+def test_every_row_equals_run_trial_on_the_trial_plan(draws):
     dataset = three_endpoint_dataset()
     methods = list(METHODS)
     report = run_analysis(dataset, methods, permutations=draws, master_seed=17)

@@ -1,4 +1,5 @@
 """Tests for the data-generating families and the replication engine."""
+import concurrent.futures
 import csv
 import dataclasses
 import itertools
@@ -260,7 +261,8 @@ def test_worker_count_is_capped_without_starting_processes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlineExecutor)
+    # The pool is imported only when more than one worker is asked for.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     # Three usable CPUs, whichever way the platform reports them.
     monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
