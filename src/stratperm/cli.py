@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -21,6 +20,7 @@ from .randomization import derive_seed
 from .reporting import (
     TrialDataError,
     _atomic_write,
+    _json_text,
     diagnose_exchangeability,
     format_report_text,
     load_trial_csv,
@@ -28,6 +28,7 @@ from .reporting import (
     write_report,
 )
 from .simulation import (
+    DEFAULT_TESTS,
     load_scenario,
     run_power_study,
     write_results_csv,
@@ -38,7 +39,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-_DEFAULT_METHODS = "ancova,stratified_diff_means,lm_permutation,freedman_lane"
+_DEFAULT_METHODS = ",".join(DEFAULT_TESTS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,9 +156,7 @@ def _cmd_diagnose(args) -> int:
             f"{row['p_value']:>6.3f}  {partial}\n"
         )
     if args.out is not None:
-        _atomic_write(
-            args.out, json.dumps({"diagnostics": rows}, indent=2, sort_keys=True) + "\n"
-        )
+        _atomic_write(args.out, _json_text({"diagnostics": rows}))
     return EXIT_OK
 
 

@@ -178,8 +178,11 @@ class NpcResult:
 
 
 def _check_names(names, known) -> list:
-    """``names`` as a list, after checking each is in ``known`` and none repeats."""
+    """``names`` as a list, after checking it is not empty, each is in
+    ``known`` and none repeats."""
     names = list(names)
+    if not names:
+        raise ValueError(f"no tests named; choose from {sorted(known)}")
     unknown = [m for m in names if m not in known]
     if unknown:
         raise ValueError(f"unknown tests {unknown}; choose from {sorted(known)}")
@@ -688,16 +691,10 @@ def _kennedy(battery: _Battery) -> _Scored:
 # nonparametric combination
 
 
-def _partial_pvalues(observed: np.ndarray, draws: np.ndarray, tail: str):
-    """Add-one partial p-values for the observed vector and every draw row."""
-    if tail == "two_sided":
-        a = np.abs(draws)
-        o = np.abs(observed)
-    elif tail == "right":
-        a = draws
-        o = observed
-    else:
-        raise ValueError(f"unknown tail {tail!r}")
+def _partial_pvalues(observed: np.ndarray, draws: np.ndarray):
+    """Two-sided add-one partial p-values for the observed vector and every
+    draw row."""
+    a, o = np.abs(draws), np.abs(observed)
     b, j = a.shape
     obs_p = np.empty(j)
     row_p = np.empty((b, j))
@@ -726,33 +723,28 @@ def _combine(p: np.ndarray, combiner: str) -> np.ndarray:
     raise ValueError(f"unknown combiner {combiner!r}")
 
 
-def npc_combine(
-    observed,
-    draws,
-    combiner: str = "fisher",
-    tail: str = "two_sided",
-) -> NpcResult:
+def npc_combine(observed, draws, combiner: str = "fisher") -> NpcResult:
     """Nonparametric combination of J dependent permutation statistics.
 
     ``observed`` is the length-J vector of observed statistics and ``draws``
     the (B, J) matrix of their joint null draws, rows aligned across strata
-    by shared re-randomization.  Partial p-values use the add-one rule within
-    each column; the combined statistic is compared right-tailed against its
-    own row-wise null.  Fisher is the default; tippett and liptak are
-    available (liptak draws can be negative, hence the signed comparison).
+    by shared re-randomization.  Two-sided partial p-values use the add-one
+    rule within each column; the combined statistic is compared right-tailed
+    against its own row-wise null.  Fisher is the default; tippett and liptak
+    are available (liptak draws can be negative, hence the signed comparison).
     """
     observed = np.asarray(observed, dtype=float)
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or observed.shape != (draws.shape[1],):
         raise ValueError("observed must be (J,) and draws (B, J)")
-    obs_p, row_p = _partial_pvalues(observed, draws, tail)
+    obs_p, row_p = _partial_pvalues(observed, draws)
     stat = float(_combine(obs_p, combiner))
     row_stats = _combine(row_p, combiner)
     p = monte_carlo_pvalue(stat, row_stats, "monte_carlo", tail="right")
     return NpcResult(statistic=stat, p_value=p, partial_p=obs_p, combiner=combiner)
 
 
-def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
+def _exchangeability(battery: _Battery) -> _Scored:
     data = battery.data
     eps, xc = battery.column("y_t"), battery.column("xc")
     # Per stratum, (n_j - 1) sd(x) sd(e): both columns are centred already.
@@ -767,7 +759,7 @@ def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
         return block.expand([p * s for p, s in zip(block.per_stratum(_RESIDUALS, "xc"), scale)]), 0
 
     def finish(kept):
-        npc = npc_combine(observed, np.concatenate(kept), combiner=combiner, tail="two_sided")
+        npc = npc_combine(observed, np.concatenate(kept))
         return TestResult(
             method="exchangeability",
             statistic=npc.statistic,
@@ -775,7 +767,7 @@ def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
             per_stratum=tuple(float(v) for v in npc.partial_p),
             null_summary={
                 "stratum_correlations": [float(v) for v in observed],
-                "combiner": combiner,
+                "combiner": npc.combiner,
             },
             flags=tuple(flags),
         )
@@ -784,23 +776,16 @@ def _exchangeability(battery: _Battery, combiner: str = "fisher") -> _Scored:
     return _Scored("exchangeability", float("nan"), null, finish=finish)
 
 
-def exchangeability_diagnostic(
-    data: TrialData,
-    plan: PermutationPlan,
-    combiner: str = "fisher",
-) -> TestResult:
+def exchangeability_diagnostic(data: TrialData, plan: PermutationPlan) -> TestResult:
     """Do null-model residuals look exchangeable with respect to baseline?
 
     Per stratum the statistic is the Pearson correlation between the null
     residuals and the baseline covariate; each stratum's null shuffles the
     residuals within that stratum, and the per-stratum tests are combined
-    nonparametrically.  Strata where either column is constant contribute a
-    partial p of 1 and are flagged.
+    nonparametrically by Fisher's rule.  Strata where either column is
+    constant contribute a partial p of 1 and are flagged.
     """
-    battery = _Battery(data, plan, ("exchangeability",))
-    scored = _exchangeability(battery, combiner)
-    _run(plan, [(battery, {"exchangeability": scored})])
-    return scored.result(plan)
+    return run_trial([data], plan, ["exchangeability"])[0]["exchangeability"]
 
 
 # ---------------------------------------------------------------------------

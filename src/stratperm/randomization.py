@@ -47,7 +47,6 @@ __all__ = [
     "enumerate_assignments",
     "enumerate_within_stratum_permutations",
     "sample_assignments",
-    "sample_within_stratum_permutations",
     "orbit_blocks",
     "monte_carlo_pvalue",
     "DRAW_SCHEME",
@@ -264,38 +263,23 @@ def enumerate_within_stratum_permutations(
     return _product(layout, blocks, np.intp)
 
 
-def _sampled(layout: StratumLayout, stream, draws: int, assignments: bool):
-    """The blocks of :func:`_sampled_blocks` stacked into one matrix of
-    assignments (cut at the treated counts) or of permutations."""
-    out = np.empty((draws, layout.n_units), dtype=np.int8 if assignments else np.intp)
-    positions = layout.stratum_positions()
-    start = 0
-    for units in _sampled_blocks(positions, stream, draws):
-        rows = slice(start, start + units[0].shape[0])
-        for pos, t, block in zip(positions, layout.treated, units):
-            out[rows, pos] = block < pos[t] if assignments else block
-        start = rows.stop
-    return out
-
-
 def sample_assignments(
     layout: StratumLayout, stream: np.random.Generator, draws: int
 ) -> np.ndarray:
     """(draws, n_units) matrix of independent uniform assignments.
 
     Row b treats the units to which row b of the within-stratum
-    permutations drawn from the same stream moves each stratum's first t_j
-    units (the label-shuffling sampler, drawn through the permutations).
+    permutations drawn from the same stream (:data:`DRAW_SCHEME`) moves each
+    stratum's first t_j units (the label-shuffling sampler, drawn through
+    the permutations).
     """
-    return _sampled(layout, stream, draws, assignments=True)
-
-
-def sample_within_stratum_permutations(
-    layout: StratumLayout, stream: np.random.Generator, draws: int
-) -> np.ndarray:
-    """(draws, n_units) index matrix of uniform within-stratum reorderings,
-    drawn in the block-major order of :data:`DRAW_SCHEME`."""
-    return _sampled(layout, stream, draws, assignments=False)
+    out = np.empty((draws, layout.n_units), dtype=np.int8)
+    positions = layout.stratum_positions()
+    for start, units in zip(range(0, draws, _BLOCK_DRAWS),
+                            _sampled_blocks(positions, stream, draws)):
+        for pos, t, block in zip(positions, layout.treated, units):
+            out[start:start + block.shape[0], pos] = block < pos[t]
+    return out
 
 
 def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
@@ -308,11 +292,11 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     b's reordering of ``values[pos]``.  ``treated`` is None unless
     ``assignments``, and ``units`` unless ``permutations``.
 
-    Monte-Carlo blocks hold at most 1,024 draws.  Stacked in order they are
-    the rows that :func:`sample_within_stratum_permutations` and
-    :func:`sample_assignments` draw from ``plan.stream()``, sampled once:
-    positions ascend, so ``units < pos[t_j]`` marks the units that receive
-    the stratum's first t_j units.  The generator keeps no reference to a
+    Monte-Carlo blocks hold at most 1,024 draws, drawn from ``plan.stream()``
+    in the order of :data:`DRAW_SCHEME`; ``treated`` is cut from ``units``,
+    sampled once, as :func:`sample_assignments` cuts its rows: positions
+    ascend, so ``units < pos[t_j]`` marks the units that receive the
+    stratum's first t_j units.  The generator keeps no reference to a
     block it has yielded, so a consumer that drops its own before asking for
     the next holds one block at a time.
 
@@ -367,18 +351,17 @@ def monte_carlo_pvalue(
     draws: np.ndarray,
     mode: str = "monte_carlo",
     tail: str = "two_sided",
-    tie_tolerance: float = TIE_TOLERANCE,
 ) -> PValue:
     """Permutation p-value: add-one rule, or exact over a full orbit.
 
     two_sided compares |draw| against |observed|; right compares signed
-    values.  Draws within ``tie_tolerance`` of the observed statistic count
+    values.  Draws within ``TIE_TOLERANCE`` of the observed statistic count
     as exceedances, so ties are resolved conservatively.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 1 or draws.size == 0:
         raise ValueError("need a non-empty vector of null draws")
-    return _pvalue(_exceedances(observed, draws, tail, tie_tolerance), draws.size, mode)
+    return _pvalue(_exceedances(observed, draws, tail), draws.size, mode)
 
 
 def _pvalue(k: int, b: int, mode: str) -> PValue:

@@ -70,6 +70,11 @@ def _csv_text(rows) -> str:
     return out.getvalue()
 
 
+def _json_text(payload) -> str:
+    """``payload`` as the indented, key-sorted JSON every output file uses."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _engine_provenance() -> dict:
     """The engine, how it draws Monte-Carlo orbits, and the numerical
     libraries behind a result; recorded in reports and simulation output."""
@@ -161,6 +166,9 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
     if not rows:
         raise TrialDataError(f"{path}: file is empty")
     header = [h.strip(_BLANKS) for h in rows[0][1]]
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise TrialDataError(f"{path}: repeated columns {repeated}")
     missing = [c for c in _ID_COLUMNS if c not in header]
     if missing:
         raise TrialDataError(f"{path}: missing required columns {missing}")
@@ -489,7 +497,7 @@ def run_analysis(
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    return _json_text(dataclasses.asdict(report))
 
 
 def report_to_csv(report: AnalysisReport) -> str:

@@ -29,7 +29,7 @@ from .randomization import (
     derive_stream,
     sample_assignments,
 )
-from .reporting import _atomic_write, _csv_text, _engine_provenance
+from .reporting import _atomic_write, _csv_text, _engine_provenance, _json_text
 
 __all__ = [
     "FAMILIES",
@@ -118,6 +118,13 @@ class ScenarioConfig:
             raise ValueError("gamma must be a finite nonnegative number")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        counts = {"sizes": self.sizes, "treated": self.treated,
+                  "replications": (self.replications,), "permutations": (self.permutations,),
+                  "master_seed": () if self.master_seed is None else (self.master_seed,)}
+        for name, values in counts.items():
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in values):
+                raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
         if self.replications < 1 or self.permutations < 1:
             raise ValueError("replications and permutations must be positive")
         _check_names(self.tests, METHODS)
@@ -348,22 +355,18 @@ def _stop_count(alpha: float, permutations: int) -> int:
     return lo
 
 
-def _score_replication(config: ScenarioConfig, data: TrialData, plan: PermutationPlan):
-    """p-value and draws used per test, each test stopped once decided."""
-    tallies = tally_battery(data, plan, config.tests,
-                            _stop_count(config.alpha, config.permutations))
-    return (np.array([tallies[name][0] for name in config.tests]),
-            np.array([tallies[name][1] for name in config.tests]))
-
-
 def _replication_block(args):
+    """p-value and draws used per test, and the sample ATE, of each of a
+    block of replications, each test stopped once decided."""
     config, indices = args
+    stop_at = _stop_count(config.alpha, config.permutations)
     block_p = np.empty((len(indices), len(config.tests)))
     block_draws = np.empty((len(indices), len(config.tests)), dtype=np.int64)
     block_ate = np.empty(len(indices))
     for row, index in enumerate(indices):
         data, plan, block_ate[row] = _replication_inputs(config, int(index))
-        block_p[row], block_draws[row] = _score_replication(config, data, plan)
+        tallies = tally_battery(data, plan, config.tests, stop_at)
+        block_p[row], block_draws[row] = zip(*(tallies[name] for name in config.tests))
     return indices, block_p, block_draws, block_ate
 
 
@@ -372,6 +375,18 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _map_blocks(jobs, workers: int):
+    """:func:`_replication_block` of each job, in order; in a process pool
+    when there is more than one worker."""
+    if workers <= 1:
+        yield from map(_replication_block, jobs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_replication_block, jobs)
 
 
 def run_power_study(
@@ -395,31 +410,15 @@ def run_power_study(
     # Never more processes than usable CPUs or replications; the blocks below
     # then number at least as many as the workers.
     workers = min(workers, _usable_cpus(), r)
-    blocks = [b for b in np.array_split(indices, max(1, min(r, workers * 4))) if b.size]
-    if workers <= 1:
-        done = 0
-        for block in blocks:
-            _, bp, bd, ba = _replication_block((config, block))
-            p_values[block] = bp
-            draws_used[block] = bd
-            ates[block] = ba
-            done += block.size
-            if progress is not None:
-                progress(done, r)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = 0
-            for idx, bp, bd, ba in pool.map(
-                _replication_block, [(config, b) for b in blocks]
-            ):
-                p_values[idx] = bp
-                draws_used[idx] = bd
-                ates[idx] = ba
-                done += len(idx)
-                if progress is not None:
-                    progress(done, r)
+    jobs = [(config, b) for b in np.array_split(indices, max(1, min(r, workers * 4))) if b.size]
+    done = 0
+    for idx, bp, bd, ba in _map_blocks(jobs, workers):
+        p_values[idx] = bp
+        draws_used[idx] = bd
+        ates[idx] = ba
+        done += len(idx)
+        if progress is not None:
+            progress(done, r)
 
     estimates = {}
     for col, name in enumerate(config.tests):
@@ -450,23 +449,10 @@ def power_ratio_table(result: PowerStudyResult, reference: str = "ancova") -> di
 # ---------------------------------------------------------------------------
 # scenario files and result tables
 
-_SCENARIO_KEYS = {
-    "id": "scenario_id",
-    "family": "family",
-    "latent": "latent",
-    "error_dist": "error_dist",
-    "gamma": "gamma",
-    "sizes": "sizes",
-    "treated": "treated",
-    "replications": "replications",
-    "permutations": "permutations",
-    "tests": "tests",
-    "alpha": "alpha",
-    "seed": "master_seed",
-    "rounding": "rounding",
-}
-
-_REQUIRED_SCENARIO_KEYS = ("id", "family", "latent", "error_dist", "gamma")
+# Scenario-file keys: ScenarioConfig's fields, two of them under shorter
+# names; the fields without a default are required.
+_RENAMED = {"scenario_id": "id", "master_seed": "seed"}
+_SCENARIO_KEYS = {_RENAMED.get(f.name, f.name): f for f in dataclasses.fields(ScenarioConfig)}
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -485,16 +471,17 @@ def load_scenario(path) -> ScenarioConfig:
     unknown = sorted(set(raw) - set(_SCENARIO_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys {unknown}")
-    missing = [k for k in _REQUIRED_SCENARIO_KEYS if k not in raw]
+    missing = [k for k, f in _SCENARIO_KEYS.items()
+               if f.default is dataclasses.MISSING and k not in raw]
     if missing:
         raise ValueError(f"{path}: missing required scenario keys {missing}")
-    kwargs = {}
-    for key, value in raw.items():
-        field = _SCENARIO_KEYS[key]
-        if field in ("sizes", "treated", "tests"):
-            value = tuple(value)
-        kwargs[field] = value
     try:
+        kwargs = {}
+        for key, value in raw.items():
+            field = _SCENARIO_KEYS[key].name
+            if field in ("sizes", "treated", "tests"):
+                value = tuple(value)
+            kwargs[field] = value
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from err
@@ -539,6 +526,4 @@ def write_results_json(results, path) -> None:
                 },
             }
         )
-    text = json.dumps({"provenance": _engine_provenance(), "results": payload},
-                      indent=2, sort_keys=True)
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, _json_text({"provenance": _engine_provenance(), "results": payload}))

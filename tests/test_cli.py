@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +12,11 @@ import scipy
 from stratperm.cli import main
 from stratperm.randomization import DRAW_SCHEME
 from stratperm.reporting import TrialDataset, write_trial_csv
+
+# Subprocesses import the package from this checkout's src/, as the tests do.
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture
@@ -145,6 +152,16 @@ def test_analyze_rejects_a_method_named_twice(trial_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods", ["", ",", " , "])
+def test_analyze_rejects_an_empty_method_list(trial_csv, tmp_path, capsys, methods):
+    out = tmp_path / "report.csv"
+    code = main(["analyze", "--input", str(trial_csv), "--permutations", "99",
+                 f"--methods={methods}", "--out", str(out)])
+    assert code == 2
+    assert "no tests" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["nan", "0", "1", "-3"])
 def test_analyze_rejects_alpha_outside_the_unit_interval(trial_csv, tmp_path, capsys, alpha):
     out = tmp_path / "r.json"
@@ -242,6 +259,29 @@ def test_simulate_rejects_a_test_named_twice(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
     assert code == 2
     assert "stratified_diff_means" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NON_INTEGRAL = [("replications", 2.5), ("permutations", 99.5), ("seed", 1.5),
+                ("sizes", [16.7, 16]), ("treated", [4, True]), ("sizes", 16)]
+
+
+@pytest.mark.parametrize("key,value", NON_INTEGRAL, ids=[f"{k}={v}" for k, v in NON_INTEGRAL])
+def test_simulate_rejects_non_integral_counts_and_seeds(tmp_path, capsys, key, value):
+    scenario = scenario_file(tmp_path, **{key: value})
+    out = tmp_path / "power.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_an_empty_test_list(tmp_path, capsys):
+    scenario = scenario_file(tmp_path, tests=[])
+    out = tmp_path / "power.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    assert "no tests" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -410,6 +450,7 @@ def test_console_module_invocation(trial_csv):
         ],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert "pain" in proc.stdout
@@ -423,6 +464,7 @@ def test_import_leaves_scipy_linalg_unloaded():
          "import sys, stratperm.cli; print('scipy.linalg' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -450,7 +492,8 @@ def test_commands_leave_scipy_special_and_the_process_pool_unloaded(trial_csv, t
         "          if m in sys.modules]",
         "print(json.dumps({'codes': codes, 'loaded': loaded}))",
     ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0, 0, 0], "loaded": []}

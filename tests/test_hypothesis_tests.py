@@ -32,7 +32,6 @@ from stratperm.randomization import (
     enumerate_within_stratum_permutations,
     monte_carlo_pvalue,
     sample_assignments,
-    sample_within_stratum_permutations,
 )
 
 from reference.least_squares import (
@@ -41,6 +40,7 @@ from reference.least_squares import (
     fit_least_squares,
     orthonormal_columns,
 )
+from reference.orbits import sample_within_stratum_permutations
 
 TIE = 1e-12
 

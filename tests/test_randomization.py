@@ -24,8 +24,9 @@ from stratperm.randomization import (
     monte_carlo_pvalue,
     orbit_blocks,
     sample_assignments,
-    sample_within_stratum_permutations,
 )
+
+from reference.orbits import sample_within_stratum_permutations
 
 CONTIGUOUS = StratumLayout.from_counts((5, 7, 4), (2, 3, 1))
 INTERLEAVED = StratumLayout(

@@ -117,6 +117,19 @@ def test_load_rejects_unknown_columns(tmp_path):
         load_trial_csv(path)
 
 
+@pytest.mark.parametrize("extra", ["baseline_pain", "stratum", "subject,treatment"])
+def test_load_rejects_repeated_columns(tmp_path, extra):
+    # Each row repeats its own cells, so only the header is at fault.
+    rows = [row.split(",") for row in basic_rows().split("\n")]
+    names = HEADER.split(",")
+    body = "\n".join(",".join(row + [row[names.index(c)] for c in extra.split(",")])
+                     for row in rows)
+    path = write_csv(tmp_path, body, header=HEADER + "," + extra)
+    with pytest.raises(TrialDataError, match="repeated columns") as info:
+        load_trial_csv(path)
+    assert str(sorted(extra.split(","))) in str(info.value)
+
+
 def test_load_lists_bad_cells_with_line_numbers(tmp_path):
     body = basic_rows().split("\n")
     body[2] = body[2].replace(body[2].split(",")[3], "n/a", 1)

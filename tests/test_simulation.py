@@ -32,7 +32,12 @@ from stratperm.simulation import (
     write_results_csv,
     write_results_json,
 )
-from stratperm.simulation import _ALPHA_SLACK, _replication_inputs, _score_replication, _stop_count
+from stratperm.simulation import (
+    _ALPHA_SLACK,
+    _replication_block,
+    _replication_inputs,
+    _stop_count,
+)
 
 
 def config(**overrides):
@@ -212,6 +217,16 @@ def test_config_rejects_bad_numerics():
         config(tests=("ancova", "anova"))
 
 
+def test_config_counts_and_seed_must_be_integral():
+    cfg = config(sizes=(np.int64(8),) * 3, treated=(np.int32(4),) * 3,
+                 replications=np.int64(5), master_seed=np.uint32(7))
+    assert cfg.layout.sizes == (8, 8, 8)
+    for name, value in (("replications", 2.5), ("permutations", True),
+                        ("master_seed", 1.5), ("sizes", (16.7, 16, 16))):
+        with pytest.raises(ValueError, match=f"{name} must be integral"):
+            config(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # replication engine
 
@@ -331,9 +346,9 @@ def test_stopped_replications_decide_as_full_runs(family, latent, error_dist):
         assert (stop_at + 1) / (permutations + 1) > alpha + _ALPHA_SLACK
         assert stop_at / (permutations + 1) <= alpha + _ALPHA_SLACK
         drawn = np.array([t != "ancova" for t in tests])
-        for index in range(3):
+        _, block_p, block_used, _ = _replication_block((cfg, np.arange(3)))
+        for index, (p, used) in enumerate(zip(block_p, block_used)):
             data, plan, _ = _replication_inputs(cfg, index)
-            p, used = _score_replication(cfg, data, plan)
             full = run_trial([data], plan, tests)[0]
             full_p = np.array([full[t].p_value.value for t in tests])
             np.testing.assert_array_equal(p <= alpha + _ALPHA_SLACK,
@@ -375,8 +390,7 @@ def test_a_replication_builds_one_layout(monkeypatch):
         post_init(layout)
 
     monkeypatch.setattr(StratumLayout, "__post_init__", counting)
-    data, plan, _ = _replication_inputs(cfg, 0)
-    _score_replication(cfg, data, plan)
+    _replication_block((cfg, np.arange(1)))
     assert len(built) <= 1
 
 
@@ -485,7 +499,8 @@ def test_load_scenario_reports_json_line(tmp_path):
 def test_load_scenario_requires_core_fields(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text(json.dumps({"id": "x", "family": "continuous"}))
-    with pytest.raises(ValueError, match="missing required"):
+    with pytest.raises(ValueError, match=r"missing required scenario keys "
+                                         r"\['latent', 'error_dist', 'gamma'\]"):
         load_scenario(path)
 
 
