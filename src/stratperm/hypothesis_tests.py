@@ -11,15 +11,17 @@ permutation strategies that differ only in *what* is shuffled under the null:
   treatment on permuted residuals, Manly permutes the outcomes).
 
 All permutation tests run on one (data, plan) share one null engine.  It
-draws the plan's orbit once, one block of at most 1,024 draws at a time
-(:func:`~stratperm.randomization.orbit_blocks`), and multiplies each
-stratum's part of the block by the columns the requested tests need, one
-matrix product per stratum.  Each test is split into its observed side and
-a null that scores one block from those products; every null statistic is a
-sum of per-stratum products, so no (draws, units) matrix is built, and
-beyond one block only the null statistics are kept.  An exact orbit is one
-crossed block, each stratum's orbit listed once: its per-stratum products
-are (orbit_j, columns) and are added over the grid of their combinations,
+draws the plan's orbit once, one block of at most 1,024 draws at a time,
+each stratum's part of a block in row chunks of at most 2^16 unit positions
+(:func:`~stratperm.randomization.orbit_blocks`).  As each chunk is drawn it
+is multiplied by the columns the requested tests need, one matrix product
+per stratum and kind of row, for every endpoint, and then dropped.  Each
+test is split into its observed side and a null that scores one block from
+those products; every null statistic is a sum of per-stratum products, so
+nothing of size (draws x units) lives past one chunk, and beyond one block
+only the null statistics are kept.  An exact orbit is one crossed block,
+each stratum's orbit listed once as one chunk: its per-stratum products are
+(orbit_j, columns) and are added over the grid of their combinations,
 stratum after stratum, in the order a Monte-Carlo block adds its aligned
 rows, so exact memory is O(orbit x columns), not O(orbit x units).
 
@@ -40,8 +42,9 @@ squares c - (u.v)^2, where c is its centred sum of squares, which
 permutation within strata leaves unchanged, and its cross product with the
 projected fixed side is one dot product.  A draw whose difference keeps
 less than ``_CANCELLED`` of c may have lost its digits to cancellation and
-is projected explicitly, within its block (an exact block's draws decoded
-into their strata's rows), so singular draws still score 0.
+is projected explicitly, from its rows read again by replaying its block (an
+exact block's draws decoded into their strata's rows), so singular draws
+still score 0.
 
 Rank checks compare a column with its own norm, so they do not depend on
 the data's units.  The test suite checks the engine against full refits, a
@@ -400,12 +403,17 @@ class _Battery:
 
 def _blocks(plan: PermutationPlan, batteries):
     """The plan's orbit, one block of draws at a time: per block, one
-    :class:`_Block` per battery, all cut from the same draws."""
+    :class:`_Block` per battery, all cut from the same draws.  Each chunk of
+    draws is multiplied in for every battery as it is read, and not kept."""
     rows = set().union(*(battery.needs for battery in batteries))
-    for strata in orbit_blocks(plan, assignments=_ASSIGNMENTS in rows,
-                               permutations=bool(rows - {_ASSIGNMENTS})):
-        yield [_Block(battery, strata) for battery in batteries]
-        del strata
+    for chunks, replay in orbit_blocks(plan, assignments=_ASSIGNMENTS in rows,
+                                       permutations=bool(rows - {_ASSIGNMENTS})):
+        blocks = [_Block(battery, replay) for battery in batteries]
+        for j, _, treated, units in chunks:
+            treated = None if treated is None else treated.astype(float)
+            for block in blocks:
+                block.add(j, treated, units)
+        yield blocks
 
 
 def _on_grid(terms) -> list:
@@ -419,25 +427,41 @@ def _on_grid(terms) -> list:
 
 class _Block:
     """One block of draws and its products with the columns the tests need:
-    one matrix product per stratum and kind of row.
+    one matrix product per stratum, kind of row and chunk of draws.
 
-    A Monte-Carlo block is aligned: row b of every stratum's arrays belongs
-    to draw b.  An exact block is crossed: each stratum's arrays list that
+    A Monte-Carlo block is aligned: row b of every stratum's products belongs
+    to draw b.  An exact block is crossed: each stratum's products list that
     stratum's orbit once, and the draws are every combination of their rows
     (:func:`_on_grid`), so per-draw totals are broadcast sums of per-stratum
-    terms, added stratum after stratum as in the aligned case.
+    terms, added stratum after stratum as in the aligned case.  The draws
+    themselves are not kept: ``replay()`` reads the block's chunks again
+    (see :func:`~stratperm.randomization.orbit_blocks`).
     """
 
-    def __init__(self, battery: _Battery, strata):
+    def __init__(self, battery: _Battery, replay):
         self.battery = battery
-        self.strata = strata
+        self.replay = replay
         self.crossed = battery.plan.mode == "exact"
-        self.products = {}
-        for rows, names in battery.needs.items():
-            values = battery.values(rows)
-            per = [(treated.astype(float) if rows == _ASSIGNMENTS else values[units]) @ cols
-                   for (_, treated, units), cols in zip(strata, battery.stratum_columns[rows])]
-            self.products[rows] = (list(names), per, self.combine(per))
+        self._chunks = {rows: [[] for _ in battery.positions] for rows in battery.needs}
+
+    def add(self, j: int, treated, units) -> None:
+        """Multiply one chunk of stratum j's draws (``treated`` as floats)
+        into the columns each kind of row needs."""
+        battery = self.battery
+        for rows, chunks in self._chunks.items():
+            drawn = treated if rows == _ASSIGNMENTS else battery.values(rows)[units]
+            chunks[j].append(drawn @ battery.stratum_columns[rows][j])
+
+    @cached_property
+    def products(self) -> dict:
+        """Per kind of row: the column names, each stratum's (rows, columns)
+        products and their per-draw totals."""
+        out = {}
+        for rows, names in self.battery.needs.items():
+            # A stratum of one chunk, as in every exact block, is not copied.
+            per = [p[0] if len(p) == 1 else np.concatenate(p) for p in self._chunks[rows]]
+            out[rows] = (list(names), per, self.combine(per))
+        return out
 
     def combine(self, terms) -> np.ndarray:
         """Per-stratum terms summed over the strata, one sum per draw."""
@@ -461,14 +485,20 @@ class _Block:
         return total[:, names.index(column)]
 
     def _rows(self, rows: str, draws) -> np.ndarray:
-        """The chosen draws of ``rows`` as a (len(draws), n_units) matrix."""
-        out = np.empty((len(draws), self.battery.data.n_units))
-        values = self.battery.values(rows)
-        picked = [treated if rows == _ASSIGNMENTS else units for _, treated, units in self.strata]
-        at = (np.unravel_index(draws, [p.shape[0] for p in picked]) if self.crossed
-              else [draws] * len(picked))
-        for (pos, _, _), p, i in zip(self.strata, picked, at):
-            out[:, pos] = p[i] if rows == _ASSIGNMENTS else values[p[i]]
+        """The chosen draws of ``rows`` as a (len(draws), n_units) matrix,
+        read from a replay of the block."""
+        battery = self.battery
+        out = np.empty((len(draws), battery.data.n_units))
+        values = battery.values(rows)
+        _, per, _ = self.products[rows]
+        at = (np.unravel_index(draws, [p.shape[0] for p in per]) if self.crossed
+              else [draws] * len(per))
+        for j, lo, treated, units in self.replay():
+            picked = treated if rows == _ASSIGNMENTS else units
+            hit = np.nonzero((at[j] >= lo) & (at[j] < lo + picked.shape[0]))[0]
+            chosen = picked[at[j][hit] - lo]
+            out[hit[:, None], battery.positions[j]] = (
+                chosen if rows == _ASSIGNMENTS else values[chosen])
         return out
 
     def permuted_side(self, rows: str, fixed: str, with_x: bool = True):

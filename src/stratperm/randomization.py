@@ -9,17 +9,23 @@ the test battery:
   per stratum (used by tests that shuffle residuals or outcomes).
 
 The test battery reads a plan's draws from :func:`orbit_blocks`, one block
-of draws at a time, each block split by stratum, so that no (draws, units)
-matrix need exist.  A Monte-Carlo orbit is sampled once and serves both
-kinds: a uniform within-stratum permutation, cut at the stratum's treated
-count, is a uniform assignment.  It is drawn in blocks of 1,024 draws from
-the plan's one stream, block after block and, within a block, stratum after
-stratum (:data:`DRAW_SCHEME`).  Because the stream is consumed in order, the
-first m blocks are the same whether or not later blocks are drawn, which is
-what lets a power study stop drawing early.  An exact orbit is one crossed
-block: each stratum's orbit enumerated once, on its own, with draw r the
-C-order combination of the strata's rows (earlier strata slowest, the order
-of :func:`enumerate_assignments`), so the (orbit, units) matrices are never
+of draws at a time, each block split by stratum and read in row chunks, so
+that no (draws, units) matrix need exist.  A Monte-Carlo orbit is sampled
+once and serves both kinds: a uniform within-stratum permutation, cut at the
+stratum's treated count, is a uniform assignment.  It is drawn in blocks of
+1,024 draws from the plan's one stream, block after block and, within a
+block, stratum after stratum (:data:`DRAW_SCHEME`).  Each stratum's part of
+a block is drawn in chunks of at most 2^16 unit positions, into one buffer
+reused from chunk to chunk; ``Generator.permuted`` shuffles row by row, so
+the chunks are the rows of the whole block, drawn in the same stream order,
+and memory does not grow with the number of units.  Because the stream is
+consumed in order, the first m blocks are the same whether or not later
+blocks are drawn, which is what lets a power study stop drawing early; a
+block is read again by replaying the stream from its state at the block's
+start.  An exact orbit is one crossed block of one chunk per stratum: each
+stratum's orbit enumerated once, on its own, with draw r the C-order
+combination of the strata's rows (earlier strata slowest, the order of
+:func:`enumerate_assignments`), so the (orbit, units) matrices are never
 built and the battery's memory is O(orbit x columns), not O(orbit x units).
 
 Randomness is derived, never passed around as global state: a master seed and
@@ -29,6 +35,7 @@ results cannot depend on how work is scheduled across workers.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,6 +67,10 @@ TIE_TOLERANCE = 1e-12
 
 # Monte-Carlo draws are made and scored in blocks of at most this many.
 _BLOCK_DRAWS = 1024
+
+# Each stratum's part of a Monte-Carlo block is drawn in row chunks of at most
+# this many unit positions (one row at least).
+_CHUNK_UNITS = 1 << 16
 
 # How a Monte-Carlo orbit is drawn, as recorded in report and simulation
 # provenance.
@@ -219,19 +230,50 @@ def _product(layout: StratumLayout, blocks: list, dtype) -> np.ndarray:
     return out
 
 
+def _chunk_rows(n: int, draws: int) -> int:
+    """Rows of a chunk of a stratum of ``n`` units in a block of ``draws``."""
+    return min(draws, max(1, _CHUNK_UNITS // n))
+
+
+def _drawn_chunks(positions, stream: np.random.Generator, draws: int, buffer):
+    """``draws`` uniform reorderings of each stratum's unit positions, drawn
+    from ``stream`` stratum after stratum in row chunks: yields (j, lo,
+    units), where ``units`` is a view on ``buffer`` holding rows lo, lo + 1,
+    ... of stratum j's (draws, n_j) reorderings, overwritten by the next
+    chunk."""
+    for j, pos in enumerate(positions):
+        rows = _chunk_rows(pos.size, draws)
+        for lo in range(0, draws, rows):
+            units = buffer[:min(rows, draws - lo) * pos.size].reshape(-1, pos.size)
+            units[:] = pos
+            stream.permuted(units, axis=1, out=units)
+            yield j, lo, units
+
+
 def _sampled_blocks(positions, stream: np.random.Generator, draws: int):
     """``draws`` uniform reorderings of each stratum's unit positions, in
-    blocks of at most ``_BLOCK_DRAWS``: per block, one (size, n_j) array per
-    stratum, drawn from ``stream`` stratum after stratum, block after block."""
+    blocks of at most ``_BLOCK_DRAWS``, drawn from ``stream`` block after
+    block.  Per block, yields (chunks, replay): ``chunks`` draws the block's
+    chunks from ``stream`` (see :func:`_drawn_chunks`), and ``replay()``
+    draws them again, from the stream's state at the block's start.  Chunks
+    the caller leaves unread are drawn before the next block, so the stream
+    is consumed in order."""
+    first = min(draws, _BLOCK_DRAWS)
+    buffer = np.empty(max(_chunk_rows(pos.size, first) * pos.size for pos in positions),
+                      dtype=np.intp)
     for start in range(0, draws, _BLOCK_DRAWS):
         size = min(_BLOCK_DRAWS, draws - start)
-        units = []
-        for pos in positions:
-            block = np.tile(pos, (size, 1))
-            stream.permuted(block, axis=1, out=block)
-            units.append(block)
-        yield units
-        del units, block  # let the caller release this block before the next is drawn
+        state = stream.bit_generator.state
+
+        def replay(state=state, size=size):
+            again = type(stream.bit_generator)()
+            again.state = state
+            return _drawn_chunks(positions, np.random.Generator(again), size,
+                                 np.empty_like(buffer))
+
+        chunks = _drawn_chunks(positions, stream, size, buffer)
+        yield chunks, replay
+        collections.deque(chunks, maxlen=0)
 
 
 def enumerate_assignments(layout: StratumLayout, cap: int | None = None) -> np.ndarray:
@@ -275,33 +317,41 @@ def sample_assignments(
     """
     out = np.empty((draws, layout.n_units), dtype=np.int8)
     positions = layout.stratum_positions()
-    for start, units in zip(range(0, draws, _BLOCK_DRAWS),
-                            _sampled_blocks(positions, stream, draws)):
-        for pos, t, block in zip(positions, layout.treated, units):
-            out[start:start + block.shape[0], pos] = block < pos[t]
+    for start, (chunks, _) in zip(range(0, draws, _BLOCK_DRAWS),
+                                  _sampled_blocks(positions, stream, draws)):
+        for j, lo, units in chunks:
+            pos = positions[j]
+            out[start + lo:start + lo + units.shape[0], pos] = units < pos[layout.treated[j]]
     return out
 
 
 def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
                  permutations: bool = True):
-    """The draws of one plan, one block of draws at a time.
+    """The draws of one plan, one block of draws at a time, each block read
+    stratum by stratum in row chunks.
 
-    Each block is a list with one entry per stratum: the stratum's unit
-    positions ``pos`` and two (b, n_j) arrays, where draw b treats the unit
-    at ``pos[i]`` where ``treated[b, i]``, and ``values[units[b]]`` is draw
-    b's reordering of ``values[pos]``.  ``treated`` is None unless
-    ``assignments``, and ``units`` unless ``permutations``.
+    Per block, yields (chunks, replay).  ``chunks`` yields (j, lo, treated,
+    units) for consecutive row chunks of stratum j, strata in order: the
+    stratum's rows lo, lo + 1, ... of the block as two (rows, n_j) arrays,
+    where draw b treats the unit at ``pos[i]`` where ``treated[b, i]``, and
+    ``values[units[b]]`` is draw b's reordering of ``values[pos]``, with
+    ``pos`` the stratum's unit positions.  ``treated`` is None unless
+    ``assignments``, and ``units`` unless ``permutations``.  ``replay()``
+    returns a new iterator over the same chunks.  A chunk is valid until
+    the next one is read.
 
     Monte-Carlo blocks hold at most 1,024 draws, drawn from ``plan.stream()``
-    in the order of :data:`DRAW_SCHEME`; ``treated`` is cut from ``units``,
-    sampled once, as :func:`sample_assignments` cuts its rows: positions
-    ascend, so ``units < pos[t_j]`` marks the units that receive the
-    stratum's first t_j units.  The generator keeps no reference to a
-    block it has yielded, so a consumer that drops its own before asking for
-    the next holds one block at a time.
+    in the order of :data:`DRAW_SCHEME`, in chunks of at most 2^16 unit
+    positions: a chunk of stratum j has max(1, 2^16 // n_j) rows, or what
+    is left of the block.  ``treated`` is cut from ``units``, sampled once,
+    as :func:`sample_assignments` cuts its rows: positions ascend, so
+    ``units < pos[t_j]`` marks the units that receive the stratum's first
+    t_j units.  Nothing of a block is kept once its chunks are read; its
+    replay draws them again from the stream's state at the block's start.
 
-    An exact orbit is one crossed block, after the cap check on the full
-    count: stratum j's arrays are :func:`enumerate_assignments` and
+    An exact orbit is one crossed block of one chunk per stratum, after the
+    cap check on the full count: stratum j's arrays are
+    :func:`enumerate_assignments` and
     :func:`enumerate_within_stratum_permutations` of its one-stratum layout,
     so ``treated`` has C(n_j, t_j) rows and ``units`` n_j! rows.  Draw r of
     the orbit combines row r_j of every stratum, where (r_1, ..., r_J) is r
@@ -311,11 +361,14 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     layout = plan.layout
     positions = layout.stratum_positions()
     if plan.mode == "monte_carlo":
-        for units in _sampled_blocks(positions, plan.stream(), plan.draws):
-            yield [(pos, block < pos[t] if assignments else None,
-                    block if permutations else None)
-                   for pos, t, block in zip(positions, layout.treated, units)]
-            del units
+        def cut(chunks):
+            for j, lo, units in chunks:
+                pos = positions[j]
+                yield (j, lo, units < pos[layout.treated[j]] if assignments else None,
+                       units if permutations else None)
+
+        for chunks, replay in _sampled_blocks(positions, plan.stream(), plan.draws):
+            yield cut(chunks), lambda replay=replay: cut(replay())
         return
     cap = plan.enumeration_cap
     if assignments:
@@ -323,12 +376,12 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     if permutations:
         _check_cap(count_within_stratum_permutations(layout), cap, "permutations")
     block = []
-    for pos, n, t in zip(positions, layout.sizes, layout.treated):
+    for j, (pos, n, t) in enumerate(zip(positions, layout.sizes, layout.treated)):
         one = StratumLayout.from_counts((n,), (t,))
-        block.append((pos, enumerate_assignments(one, cap) == 1 if assignments else None,
+        block.append((j, 0, enumerate_assignments(one, cap) == 1 if assignments else None,
                       pos[enumerate_within_stratum_permutations(one, cap)]
                       if permutations else None))
-    yield block
+    yield iter(block), lambda: iter(block)
 
 
 def _exceedances(observed: float, draws: np.ndarray, tail: str,

@@ -125,6 +125,12 @@ class ScenarioConfig:
             if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                        for v in values):
                 raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
+            # Kept as Python ints, so that the config serializes to JSON.
+            values = tuple(int(v) for v in values)
+            if name in ("sizes", "treated"):
+                object.__setattr__(self, name, values)
+            elif values:
+                object.__setattr__(self, name, values[0])
         if self.replications < 1 or self.permutations < 1:
             raise ValueError("replications and permutations must be positive")
         _check_names(self.tests, METHODS)
@@ -480,7 +486,12 @@ def load_scenario(path) -> ScenarioConfig:
         for key, value in raw.items():
             field = _SCENARIO_KEYS[key].name
             if field in ("sizes", "treated", "tests"):
+                if not isinstance(value, list):
+                    raise ValueError(f"{key} must be a JSON array, got {value!r}")
                 value = tuple(value)
+            elif field in ("gamma", "alpha") and (
+                    isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"{key} must be a number, got {value!r}")
             kwargs[field] = value
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as err:

@@ -276,6 +276,26 @@ def test_simulate_rejects_non_integral_counts_and_seeds(tmp_path, capsys, key, v
     assert not out.exists()
 
 
+WRONG_TYPE = [("tests", "ancova", "tests must be a JSON array"),
+              ("sizes", "16", "sizes must be a JSON array"),
+              ("treated", {"a": 4}, "treated must be a JSON array"),
+              ("gamma", True, "gamma must be a number"),
+              ("gamma", "0.2", "gamma must be a number"),
+              ("alpha", False, "alpha must be a number")]
+
+
+@pytest.mark.parametrize("key,value,message", WRONG_TYPE,
+                         ids=[f"{k}={v!r}" for k, v, _ in WRONG_TYPE])
+def test_simulate_names_a_scenario_value_of_the_wrong_type(tmp_path, capsys, key, value,
+                                                           message):
+    scenario = scenario_file(tmp_path, **{key: value})
+    out = tmp_path / "power.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_an_empty_test_list(tmp_path, capsys):
     scenario = scenario_file(tmp_path, tests=[])
     out = tmp_path / "power.csv"

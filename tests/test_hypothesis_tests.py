@@ -905,3 +905,70 @@ def test_analysis_holds_one_block_of_draws_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * one_block, peak
+
+
+def test_replayed_rows_reproject_a_chunked_block(monkeypatch):
+    # Strata of 200 and 70 units are drawn in several chunks per block, and
+    # a block keeps none of its draws.  With _CANCELLED at 1 every draw is
+    # projected explicitly, from rows read by replaying its block: the
+    # exceedances must be the unpatched run's and the oracle's.
+    data = interleaved_trial(9, (200, 70, 16))
+    plan = PermutationPlan(layout=data.layout, draws=2500, master_seed=9)
+    methods = ["lm_permutation", "freedman_lane", "manly"]
+    plain = run_trial([data], plan, methods)[0]
+    redone = []
+    rows_of = hypothesis_tests._Block._rows
+
+    def spy(block, rows, draws):
+        redone.append(len(draws))
+        return rows_of(block, rows, draws)
+
+    monkeypatch.setattr(hypothesis_tests, "_CANCELLED", 1.0)
+    monkeypatch.setattr(hypothesis_tests._Block, "_rows", spy)
+    replayed = run_trial([data], plan, methods)[0]
+    assert redone == [1024, 1024, 1024, 1024, 1024, 1024, 452, 452, 452]
+    for method in methods:
+        statistic, draws, degenerate = _oracle(data, plan, method)
+        p = monte_carlo_pvalue(statistic, draws, plan.mode)
+        assert plain[method].p_value == p, method
+        assert replayed[method].p_value == p, method
+        assert replayed[method].degenerate_draws == plain[method].degenerate_draws == degenerate
+
+
+def test_replayed_rows_are_the_reference_rows():
+    data = interleaved_trial(10, (200, 70, 16))
+    plan = PermutationPlan(layout=data.layout, draws=2500, master_seed=10)
+    battery = hypothesis_tests._Battery(data, plan, ("lm_permutation", "freedman_lane"))
+    zmat = sample_assignments(data.layout, plan.stream(), plan.draws)
+    perms = sample_within_stratum_permutations(data.layout, plan.stream(), plan.draws)
+    residuals = battery.values("residuals")
+    rng = np.random.default_rng(10)
+    starts = range(0, plan.draws, 1024)
+    for start, (block,) in zip(starts, hypothesis_tests._blocks(plan, [battery]), strict=True):
+        picks = rng.choice(min(1024, plan.draws - start), 40, replace=False)
+        np.testing.assert_array_equal(block._rows("assignments", picks), zmat[start + picks])
+        np.testing.assert_array_equal(block._rows("residuals", picks),
+                                      residuals[perms[start + picks]])
+
+
+def test_memory_is_bounded_in_the_number_of_subjects():
+    # 20,000 subjects: one block's (1,024, 20,000) index array alone would
+    # take 164 MB.  Drawn and multiplied in chunks of at most 2^16 unit
+    # positions, the battery holds one chunk and per-draw vectors at a time.
+    rng = np.random.default_rng(73)
+    sizes = (9_000, 6_000, 5_000)
+    strata = np.repeat(np.arange(3), sizes)
+    z = np.concatenate([rng.permutation(np.arange(n) < n // 2) for n in sizes])
+    x = rng.standard_normal(strata.size)
+    data = TrialData.from_arrays(strata, z.astype(np.int8), x,
+                                 x + 0.1 * z + rng.standard_normal(strata.size))
+    methods = ["ancova", "stratified_diff_means", "lm_permutation", "freedman_lane",
+               "exchangeability"]
+    tracemalloc.start()
+    try:
+        results = run_trial([data], mc_plan(data, draws=1024), methods)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results["freedman_lane"].p_value.draws == 1024
+    assert peak < 16e6, peak

@@ -33,6 +33,10 @@ INTERLEAVED = StratumLayout(
     sizes=(3, 4, 2), treated=(1, 2, 1), codes=np.array([0, 1, 2, 1, 0, 1, 2, 0, 1])
 )
 
+# Strata of 200 and 70 units are drawn in chunks of 327 and 936 rows; one of
+# 16 units in one chunk per block.
+CHUNKED = StratumLayout.from_counts((200, 70, 16), (90, 35, 5))
+
 
 # ---------------------------------------------------------------------------
 # seed derivation
@@ -211,7 +215,8 @@ def _assignments_by_shuffling_labels(layout, stream, draws):
     return out
 
 
-@pytest.mark.parametrize("layout", [CONTIGUOUS, INTERLEAVED], ids=["contiguous", "interleaved"])
+@pytest.mark.parametrize("layout", [CONTIGUOUS, INTERLEAVED, CHUNKED],
+                         ids=["contiguous", "interleaved", "chunked"])
 def test_assignments_are_permutation_draws_cut_at_treated_count(layout):
     # The test battery derives every assignment from the within-stratum
     # permutations it draws; this identity keeps the assignment draws those
@@ -226,50 +231,110 @@ def test_assignments_are_permutation_draws_cut_at_treated_count(layout):
     )
 
 
+def _copied(chunks) -> list:
+    """The chunks as a list, copied: a chunk's arrays are only valid until
+    the next chunk is read."""
+    return [(j, lo, None if t is None else t.copy(), None if u is None else u.copy())
+            for j, lo, t, u in chunks]
+
+
+def _read(blocks) -> list:
+    """Each block as the list of its chunks, read before the next block."""
+    return [_copied(chunks) for chunks, _ in blocks]
+
+
+def _stacked(blocks, n_strata, k):
+    """Per stratum, item k (2: treated, 3: units) of its chunks in every
+    block, stacked."""
+    return [np.concatenate([c[k] for block in blocks for c in block if c[0] == j])
+            for j in range(n_strata)]
+
+
 @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
 def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
     plan = PermutationPlan(layout=INTERLEAVED, mode=mode, draws=2500, master_seed=8)
     positions = INTERLEAVED.stratum_positions()
-    blocks = list(orbit_blocks(plan))
+    blocks = _read(orbit_blocks(plan))
     for block in blocks:
-        assert all(np.array_equal(pos, want) for (pos, _, _), want in zip(block, positions))
+        # Strata in order, each stratum's chunks in row order.
+        assert [j for j, *_ in block] == sorted(j for j, *_ in block)
+        for j, lo, treated, units in block:
+            assert np.all(np.sort(units, axis=1) == positions[j])
     if mode == "exact":
-        # One crossed block: each stratum's orbit once, enumerated on its
-        # one-stratum layout.  Draw r combines the strata's rows in C order,
-        # earlier strata slowest, which is the full enumeration's order.
+        # One crossed block of one chunk per stratum: each stratum's orbit
+        # once, enumerated on its one-stratum layout.  Draw r combines the
+        # strata's rows in C order, earlier strata slowest, which is the
+        # full enumeration's order.
         (block,) = blocks
-        for (pos, treated, units), n, t in zip(block, INTERLEAVED.sizes, INTERLEAVED.treated):
+        assert [(j, lo) for j, lo, _, _ in block] == [(0, 0), (1, 0), (2, 0)]
+        for (j, _, treated, units), n, t in zip(block, INTERLEAVED.sizes, INTERLEAVED.treated):
             one = StratumLayout.from_counts((n,), (t,))
             np.testing.assert_array_equal(treated, enumerate_assignments(one) == 1)
-            np.testing.assert_array_equal(units, pos[enumerate_within_stratum_permutations(one)])
-        for full, k in ((enumerate_assignments(INTERLEAVED) == 1, 1),
-                        (enumerate_within_stratum_permutations(INTERLEAVED), 2)):
-            at = np.unravel_index(np.arange(full.shape[0]), [s[k].shape[0] for s in block])
-            for stratum, rows in zip(block, at):
-                np.testing.assert_array_equal(full[:, stratum[0]], stratum[k][rows])
+            np.testing.assert_array_equal(
+                units, positions[j][enumerate_within_stratum_permutations(one)])
+        for full, k in ((enumerate_assignments(INTERLEAVED) == 1, 2),
+                        (enumerate_within_stratum_permutations(INTERLEAVED), 3)):
+            at = np.unravel_index(np.arange(full.shape[0]), [c[k].shape[0] for c in block])
+            for pos, chunk, rows in zip(positions, block, at):
+                np.testing.assert_array_equal(full[:, pos], chunk[k][rows])
         return
     z = sample_assignments(INTERLEAVED, plan.stream(), 2500)
     perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 2500)
-    # Monte-Carlo blocks hold at most 1,024 draws, block-major.
-    assert [(b[0][1].shape[0], b[0][2].shape[0]) for b in blocks] == [
-        (1024, 1024), (1024, 1024), (452, 452)]
-    for j, want in enumerate(positions):
-        np.testing.assert_array_equal(
-            np.concatenate([block[j][1] for block in blocks]), z[:, want] == 1)
-        np.testing.assert_array_equal(
-            np.concatenate([block[j][2] for block in blocks]), perms[:, want])
+    # Monte-Carlo blocks hold at most 1,024 draws, block-major; strata this
+    # small are one chunk per block.
+    assert [[(j, lo, t.shape[0], u.shape[0]) for j, lo, t, u in b] for b in blocks] == [
+        [(j, 0, size, size) for j in range(3)] for size in (1024, 1024, 452)]
+    for pos, treated, units in zip(positions, _stacked(blocks, 3, 2), _stacked(blocks, 3, 3)):
+        np.testing.assert_array_equal(treated, z[:, pos] == 1)
+        np.testing.assert_array_equal(units, perms[:, pos])
+
+
+def test_chunked_draws_equal_the_reference(monkeypatch):
+    plan = PermutationPlan(layout=CHUNKED, draws=2500, master_seed=21)
+    positions = CHUNKED.stratum_positions()
+    reference = plan.stream()
+    perms = sample_within_stratum_permutations(CHUNKED, reference, 2500)
+    stream = plan.stream()
+    monkeypatch.setattr(PermutationPlan, "stream", lambda self, *key: stream)
+    read, replays = [], []
+    for chunks, replay in orbit_blocks(plan):
+        read.append(_copied(chunks))
+        replays.append(replay)
+    # The stream after the plan gives the reference's next draw.
+    assert stream.integers(2**62) == reference.integers(2**62)
+    assert [[(j, lo, u.shape[0]) for j, lo, _, u in b] for b in read] == [
+        [(0, 0, 327), (0, 327, 327), (0, 654, 327), (0, 981, 43),
+         (1, 0, 936), (1, 936, 88), (2, 0, 1024)]] * 2 + [
+        [(0, 0, 327), (0, 327, 125), (1, 0, 452), (2, 0, 452)]]
+    for pos, units in zip(positions, _stacked(read, 3, 3)):
+        np.testing.assert_array_equal(units, perms[:, pos])
+    z = sample_assignments(CHUNKED, derive_stream(21), 2500)
+    for pos, treated in zip(positions, _stacked(read, 3, 2)):
+        np.testing.assert_array_equal(treated, z[:, pos] == 1)
+    # A replay reads the block's chunks again and leaves the stream alone.
+    after = stream.bit_generator.state
+    for replay, first in zip(replays, read):
+        assert len(_copied(replay())) == len(first)
+        for (j, lo, t, u), (j0, lo0, t0, u0) in zip(replay(), first):
+            assert (j, lo) == (j0, lo0)
+            np.testing.assert_array_equal(t, t0)
+            np.testing.assert_array_equal(u, u0)
+    assert stream.bit_generator.state == after
 
 
 def test_first_blocks_do_not_depend_on_the_draw_count():
     # One stream consumed in order: a plan of 1,500 draws begins with the
     # draws of a plan of 1,024, and ends with a block of 476.
-    short = PermutationPlan(layout=CONTIGUOUS, draws=1024, master_seed=9)
-    long = PermutationPlan(layout=CONTIGUOUS, draws=1500, master_seed=9)
-    (first,), blocks = list(orbit_blocks(short)), list(orbit_blocks(long))
-    assert [b[0][2].shape[0] for b in blocks] == [1024, 476]
-    for (_, t_a, u_a), (_, t_b, u_b) in zip(first, blocks[0]):
-        np.testing.assert_array_equal(t_a, t_b)
-        np.testing.assert_array_equal(u_a, u_b)
+    for layout in (CONTIGUOUS, CHUNKED):
+        short = PermutationPlan(layout=layout, draws=1024, master_seed=9)
+        long = PermutationPlan(layout=layout, draws=1500, master_seed=9)
+        (first,), blocks = _read(orbit_blocks(short)), _read(orbit_blocks(long))
+        assert [sum(u.shape[0] for j, _, _, u in b if j == 0) for b in blocks] == [1024, 476]
+        assert len(first) == len(blocks[0])
+        for (j_a, lo_a, t_a, u_a), (j_b, lo_b, t_b, u_b) in zip(first, blocks[0]):
+            assert (j_a, lo_a) == (j_b, lo_b)
+            np.testing.assert_array_equal(t_a, t_b)
+            np.testing.assert_array_equal(u_a, u_b)
 
 
 def test_sample_assignment_repeatable_from_same_seed():

@@ -463,13 +463,23 @@ def test_each_command_draws_the_orbit_once_per_trial(tmp_path, monkeypatch, caps
     calls = []
     sampled_blocks = randomization._sampled_blocks
 
-    def counting(*args):
-        calls.append(args)
-        return sampled_blocks(*args)
+    def counted(chunks, rows):
+        for j, lo, units in chunks:
+            rows[j] += units.shape[0]
+            yield j, lo, units
+
+    def counting(positions, stream, draws):
+        # Rows read from the stream per stratum, over every chunk.
+        rows = [0] * len(positions)
+        calls.append(rows)
+        for chunks, replay in sampled_blocks(positions, stream, draws):
+            yield counted(chunks, rows), replay
 
     monkeypatch.setattr(randomization, "_sampled_blocks", counting)
     assert main([*command, "--input", str(path), "--permutations", "2500"]) == 0
     assert len(calls) == draws_made
+    for rows in calls:
+        assert rows == [2500] * len(rows)
 
 
 @pytest.mark.parametrize("other", [

@@ -537,6 +537,20 @@ def test_results_csv_quotes_a_scenario_id_with_commas(tmp_path):
     assert [row[0] for row in rows[1:]] == [cfg.scenario_id] * len(cfg.tests)
 
 
+def test_config_of_numpy_integers_writes_the_json_of_plain_integers(tmp_path):
+    plain = small_study(replications=2, sizes=(6, 6), treated=(3, 3), master_seed=1234)
+    numpy = small_study(replications=np.int64(2), permutations=np.int32(99),
+                        sizes=np.array([6, 6]), treated=(np.int64(3), np.uint8(3)),
+                        master_seed=np.uint32(1234))
+    assert numpy == plain
+    texts = []
+    for cfg in (plain, numpy):
+        path = tmp_path / "results.json"
+        write_results_json([run_power_study(cfg)], path)
+        texts.append(path.read_text())
+    assert texts[1] == texts[0]
+
+
 def test_result_json_is_timestamp_free(tmp_path):
     cfg = small_study(replications=10)
     res = run_power_study(cfg)
