@@ -48,10 +48,12 @@ for b in (99, 999, 9_999, 99_999):
     print(f"{b:>7}  {p:.4f}")
 print(f"  exact  {exact_p:.4f}")
 
-# The orbit itself is available for inspection; here is the null
+# The orbit itself is available for inspection: each site's C(4, 2) = 6
+# treated sets, crossed into the 36 assignments.  Here is the null
 # distribution of the treated-arm mean under the design.
-draws = enumerate_assignments(data.layout)
-treated_means = np.array([y[d == 1].mean() for d in draws])
+site = enumerate_assignments(4, 2)
+draws = np.array([np.concatenate([a, b]) for a in site for b in site])
+treated_means = np.array([y[d].mean() for d in draws])
 observed = y[z == 1].mean()
 print(f"\ntreated-arm mean: observed {observed:.3f}; orbit quantiles "
       + " ".join(f"{q:.3f}" for q in np.quantile(treated_means, (0, 0.25, 0.5, 0.75, 1))))

@@ -1,7 +1,8 @@
 """The test battery for stratified two-arm trials with a baseline covariate.
 
-One parametric test (ANCOVA with stratum intercepts) and a family of
-permutation strategies that differ only in *what* is shuffled under the null:
+One parametric test (ANCOVA with stratum intercepts, its p-value from
+Student's t) and a family of permutation strategies that differ only in
+*what* is shuffled under the null:
 
 * assignment tests re-randomize the treatment labels within strata
   (difference in means, sum of absolute stratum differences, change scores,
@@ -68,7 +69,6 @@ from .randomization import (
     StratumLayout,
     _exceedances,
     _pvalue,
-    monte_carlo_pvalue,
     orbit_blocks,
 )
 
@@ -150,10 +150,10 @@ class TestResult:
     """Outcome of one test: the statistic, its p-value, and diagnostics.
 
     ``degenerate_draws`` counts permuted fits that were singular or had zero
-    residual variance; their statistics are recorded as 0.  ``null_summary``
-    names ANCOVA's reference distribution and holds the exchangeability
-    diagnostic's stratum correlations and combiner; it is None for the
-    permutation tests.
+    residual variance; their statistics are recorded as 0.  ``per_stratum``
+    holds the exchangeability diagnostic's partial p-values and
+    ``null_summary`` its stratum correlations and combiner; both are None
+    for every other test.
     """
 
     method: str
@@ -524,11 +524,11 @@ class _Scored:
     """A test's observed side, how it scores a block of draws, and its tally.
 
     ``null(block)`` returns the block's null statistics and how many of its
-    draws were degenerate; it is None for the analytic test.  ``k`` counts
-    the draws at least as extreme as the statistic on ``tail``, where draws
-    within ``tie`` of it count as ties.  ``finish``, when given, builds the
-    result from the ``kept`` null statistics of every block in place of the
-    p-value from k.
+    draws were degenerate; it is None for ANCOVA, whose p-value comes from
+    Student's t with ``df`` degrees of freedom.  ``k`` counts the draws at
+    least as extreme as the statistic on ``tail``, where draws within ``tie``
+    of it count as ties.  ``finish``, when given, builds the result from the
+    ``kept`` null statistics of every block in place of the p-value from k.
     """
 
     method: str
@@ -537,7 +537,6 @@ class _Scored:
     tail: str = "two_sided"
     tie: float = TIE_TOLERANCE
     df: int | None = None
-    per_stratum: tuple | None = None
     flags: tuple[str, ...] = ()
     finish: Callable | None = None
     k: int = 0
@@ -557,15 +556,14 @@ class _Scored:
     def result(self, plan: PermutationPlan | None) -> TestResult:
         if self.finish is not None:
             return self.finish(self.kept)
-        return TestResult(
-            method=self.method,
-            statistic=self.statistic,
-            p_value=_pvalue(self.k, self.draws, plan.mode),
-            df=self.df,
-            per_stratum=self.per_stratum,
-            flags=self.flags,
-            degenerate_draws=self.degenerate,
-        )
+        if self.null is None:
+            # A flagged fit has no t: its p-value is 1.
+            p = PValue(value=1.0 if self.flags else student_t_two_sided_p(self.statistic, self.df),
+                       exceedances=0, draws=0, mode="analytic")
+        else:
+            p = _pvalue(self.k, self.draws, plan.mode)
+        return TestResult(method=self.method, statistic=self.statistic, p_value=p,
+                          df=self.df, flags=self.flags, degenerate_draws=self.degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +581,7 @@ def _ancova(battery: _Battery) -> _Scored:
     two agree exactly.  Nothing is drawn, so no plan is needed.
     """
     stat, df, flags = battery.observed
-    result = TestResult(
-        method="ancova",
-        statistic=stat,
-        p_value=PValue(
-            value=1.0 if flags else student_t_two_sided_p(stat, df),
-            exceedances=0, draws=0, mode="analytic",
-        ),
-        df=df,
-        null_summary={"reference": f"t({df})"},
-        flags=flags,
-    )
-    return _Scored("ancova", stat, None, finish=lambda kept: result)
+    return _Scored("ancova", stat, None, df=df, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +610,7 @@ def _diff_means(battery: _Battery, method: str, column: str) -> _Scored:
         treated_sums = block.total(_ASSIGNMENTS, column)
         return treated_sums / n_t - (v_sum - treated_sums) / n_c, 0
 
-    return _Scored(method, float(v[z == 1].mean() - v[z == 0].mean()), null,
-                   per_stratum=tuple(float(d) for d in _stratum_diffs(battery, v)))
+    return _Scored(method, float(v[z == 1].mean() - v[z == 0].mean()), null)
 
 
 def _sum_abs(battery: _Battery) -> _Scored:
@@ -632,7 +618,6 @@ def _sum_abs(battery: _Battery) -> _Scored:
     strata, right-tailed."""
     data, layout = battery.data, battery.plan.layout
     y_sums = battery.sums(data.y)
-    per_stratum = _stratum_diffs(battery, data.y)
 
     def null(block):
         return block.combine([
@@ -640,8 +625,8 @@ def _sum_abs(battery: _Battery) -> _Scored:
             for y_sum, n_j, t_j, sums in zip(y_sums, layout.sizes, layout.treated,
                                              block.per_stratum(_ASSIGNMENTS, "y"))]), 0
 
-    return _Scored("stratified_sum_abs", float(np.abs(per_stratum).sum()), null,
-                   tail="right", per_stratum=tuple(float(d) for d in per_stratum))
+    return _Scored("stratified_sum_abs", float(np.abs(_stratum_diffs(battery, data.y)).sum()),
+                   null, tail="right")
 
 
 def _lm_permutation(battery: _Battery) -> _Scored:
@@ -765,13 +750,13 @@ def npc_combine(observed, draws, combiner: str = "fisher") -> NpcResult:
     """
     observed = np.asarray(observed, dtype=float)
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2 or observed.shape != (draws.shape[1],):
-        raise ValueError("observed must be (J,) and draws (B, J)")
+    if draws.ndim != 2 or not draws.shape[0] or observed.shape != (draws.shape[1],):
+        raise ValueError("observed must be (J,) and draws (B, J), B >= 1")
     obs_p, row_p = _partial_pvalues(observed, draws)
     stat = float(_combine(obs_p, combiner))
-    row_stats = _combine(row_p, combiner)
-    p = monte_carlo_pvalue(stat, row_stats, "monte_carlo", tail="right")
-    return NpcResult(statistic=stat, p_value=p, partial_p=obs_p, combiner=combiner)
+    k = _exceedances(stat, _combine(row_p, combiner), "right")
+    return NpcResult(statistic=stat, p_value=_pvalue(k, draws.shape[0], "monte_carlo"),
+                     partial_p=obs_p, combiner=combiner)
 
 
 def _exchangeability(battery: _Battery) -> _Scored:

@@ -23,9 +23,10 @@ consumed in order, the first m blocks are the same whether or not later
 blocks are drawn, which is what lets a power study stop drawing early; a
 block is read again by replaying the stream from its state at the block's
 start.  An exact orbit is one crossed block of one chunk per stratum: each
-stratum's orbit enumerated once, on its own, with draw r the C-order
-combination of the strata's rows (earlier strata slowest, the order of
-:func:`enumerate_assignments`), so the (orbit, units) matrices are never
+stratum's orbit enumerated once, on its own, by the per-stratum enumerators
+(:func:`enumerate_assignments`, :func:`enumerate_within_stratum_permutations`,
+in lexicographic order), with draw r the C-order combination of the strata's
+rows (earlier strata slowest), so the (orbit, units) matrices are never
 built and the battery's memory is O(orbit x columns), not O(orbit x units).
 
 Randomness is derived, never passed around as global state: a master seed and
@@ -55,10 +56,10 @@ __all__ = [
     "enumerate_within_stratum_permutations",
     "sample_assignments",
     "orbit_blocks",
-    "monte_carlo_pvalue",
     "DRAW_SCHEME",
 ]
 
+# An exact plan refuses an orbit of more draws than this.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 # Absolute tie tolerance when comparing permuted statistics to the observed
@@ -147,20 +148,20 @@ class StratumLayout:
 class PermutationPlan:
     """How a permutation null is to be computed.
 
-    mode "exact" enumerates the whole orbit (subject to ``enumeration_cap``)
-    as one crossed block that lists each stratum's orbit once; mode
-    "monte_carlo" samples ``draws`` re-randomizations from the stream
-    derived from ``master_seed``, in blocks of 1,024 draws.  Every
-    test run with one plan sees the same draws; in monte_carlo mode the
-    assignments are cut from the sampled within-stratum permutations, and the
-    first blocks do not depend on how many follow (see :func:`orbit_blocks`).
+    mode "exact" enumerates the whole orbit, up to
+    ``DEFAULT_ENUMERATION_CAP`` draws, as one crossed block that lists each
+    stratum's orbit once; mode "monte_carlo" samples ``draws``
+    re-randomizations from the stream derived from ``master_seed``, in blocks
+    of 1,024 draws.  Every test run with one plan sees the same draws; in
+    monte_carlo mode the assignments are cut from the sampled within-stratum
+    permutations, and the first blocks do not depend on how many follow (see
+    :func:`orbit_blocks`).
     """
 
     layout: StratumLayout
     mode: str = "monte_carlo"
     draws: int = 10_000
     master_seed: int = 0
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         if self.mode not in ("exact", "monte_carlo"):
@@ -206,28 +207,6 @@ def count_within_stratum_permutations(layout: StratumLayout) -> int:
     for n in layout.sizes:
         total *= math.factorial(n)
     return total
-
-
-def _check_cap(total: int, cap: int | None, what: str) -> None:
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if total > cap:
-        raise ValueError(
-            f"exact enumeration would produce {total} {what}, "
-            f"over the cap of {cap}; use monte_carlo mode"
-        )
-
-
-def _product(layout: StratumLayout, blocks: list, dtype) -> np.ndarray:
-    """Rows of the Cartesian product of per-stratum row blocks, earlier
-    strata varying slowest, each block written at its stratum's positions."""
-    total = math.prod(block.shape[0] for block in blocks)
-    out = np.empty((total, layout.n_units), dtype=dtype)
-    before = 1
-    for pos, block in zip(layout.stratum_positions(), blocks):
-        after = total // (before * block.shape[0])
-        out[:, pos] = np.tile(np.repeat(block, after, axis=0), (before, 1))
-        before *= block.shape[0]
-    return out
 
 
 def _chunk_rows(n: int, draws: int) -> int:
@@ -276,33 +255,21 @@ def _sampled_blocks(positions, stream: np.random.Generator, draws: int):
         collections.deque(chunks, maxlen=0)
 
 
-def enumerate_assignments(layout: StratumLayout, cap: int | None = None) -> np.ndarray:
-    """All assignments as a (count, n_units) 0/1 matrix, deterministic order.
-
-    Strata vary lexicographically, earlier strata slowest.  Refuses to
-    enumerate more than ``cap`` assignments (default 1e6) and reports the
-    would-be count in the error.
-    """
-    _check_cap(count_assignments(layout), cap, "assignments")
-    blocks = []
-    for n, t in zip(layout.sizes, layout.treated):
-        chosen = np.array(list(itertools.combinations(range(n), t)))
-        blocks.append(np.zeros((chosen.shape[0], n), dtype=np.int8))
-        np.put_along_axis(blocks[-1], chosen, 1, axis=1)
-    return _product(layout, blocks, np.int8)
+def enumerate_assignments(n: int, t: int) -> np.ndarray:
+    """All C(n, t) ways to treat t of n units, as a (C(n, t), n) boolean
+    matrix: row r treats the units of the r-th combination in lexicographic
+    order (``itertools.combinations``)."""
+    chosen = np.array(list(itertools.combinations(range(n), t)))
+    out = np.zeros((chosen.shape[0], n), dtype=bool)
+    np.put_along_axis(out, chosen, True, axis=1)
+    return out
 
 
-def enumerate_within_stratum_permutations(
-    layout: StratumLayout, cap: int | None = None
-) -> np.ndarray:
-    """All within-stratum reorderings as a (count, n_units) index matrix.
-
-    Row r is a permutation of 0..n-1 moving units only inside their stratum;
-    ``values[out[r]]`` is the r-th reordering of ``values``.
-    """
-    _check_cap(count_within_stratum_permutations(layout), cap, "permutations")
-    blocks = [np.array(list(itertools.permutations(pos))) for pos in layout.stratum_positions()]
-    return _product(layout, blocks, np.intp)
+def enumerate_within_stratum_permutations(n: int) -> np.ndarray:
+    """All n! reorderings of n units, as an (n!, n) index matrix: row r is
+    the r-th permutation of 0..n-1 in lexicographic order
+    (``itertools.permutations``)."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
 def sample_assignments(
@@ -349,14 +316,14 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     t_j units.  Nothing of a block is kept once its chunks are read; its
     replay draws them again from the stream's state at the block's start.
 
-    An exact orbit is one crossed block of one chunk per stratum, after the
-    cap check on the full count: stratum j's arrays are
-    :func:`enumerate_assignments` and
-    :func:`enumerate_within_stratum_permutations` of its one-stratum layout,
-    so ``treated`` has C(n_j, t_j) rows and ``units`` n_j! rows.  Draw r of
-    the orbit combines row r_j of every stratum, where (r_1, ..., r_J) is r
-    unravelled in C order over those row counts (earlier strata slowest);
-    that is row r of the full enumeration, which is never built.
+    An exact orbit is one crossed block of one chunk per stratum, once the
+    full orbit's count is checked against ``DEFAULT_ENUMERATION_CAP``:
+    stratum j's ``treated`` is ``enumerate_assignments(n_j, t_j)`` and its
+    ``units`` are ``pos`` reordered by
+    ``enumerate_within_stratum_permutations(n_j)``, so they have C(n_j, t_j)
+    and n_j! rows.  Draw r of the orbit combines row r_j of every stratum,
+    where (r_1, ..., r_J) is r unravelled in C order over those row counts
+    (earlier strata slowest); no (orbit, units) matrix is built.
     """
     layout = plan.layout
     positions = layout.stratum_positions()
@@ -370,25 +337,23 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
         for chunks, replay in _sampled_blocks(positions, plan.stream(), plan.draws):
             yield cut(chunks), lambda replay=replay: cut(replay())
         return
-    cap = plan.enumeration_cap
-    if assignments:
-        _check_cap(count_assignments(layout), cap, "assignments")
-    if permutations:
-        _check_cap(count_within_stratum_permutations(layout), cap, "permutations")
-    block = []
-    for j, (pos, n, t) in enumerate(zip(positions, layout.sizes, layout.treated)):
-        one = StratumLayout.from_counts((n,), (t,))
-        block.append((j, 0, enumerate_assignments(one, cap) == 1 if assignments else None,
-                      pos[enumerate_within_stratum_permutations(one, cap)]
-                      if permutations else None))
+    for wanted, count, what in ((assignments, count_assignments, "assignments"),
+                                (permutations, count_within_stratum_permutations, "permutations")):
+        if wanted and count(layout) > DEFAULT_ENUMERATION_CAP:
+            raise ValueError(f"exact enumeration would produce {count(layout)} {what}, "
+                             f"over the cap of {DEFAULT_ENUMERATION_CAP}; use monte_carlo mode")
+    block = [(j, 0, enumerate_assignments(n, t) if assignments else None,
+              pos[enumerate_within_stratum_permutations(n)] if permutations else None)
+             for j, (pos, n, t) in enumerate(zip(positions, layout.sizes, layout.treated))]
     yield iter(block), lambda: iter(block)
 
 
 def _exceedances(observed: float, draws: np.ndarray, tail: str,
                  tie_tolerance: float = TIE_TOLERANCE) -> int:
-    """Number of draws at least as extreme as ``observed`` (see
-    :func:`monte_carlo_pvalue`); the comparison that function and the test
-    battery's block loop share."""
+    """Number of draws at least as extreme as ``observed``: two_sided
+    compares |draw| with |observed|, right compares signed values.  Draws
+    within ``tie_tolerance`` of the observed statistic count as exceedances,
+    so ties are resolved conservatively."""
     observed = float(observed)
     if not math.isfinite(observed):
         raise ValueError("observed statistic must be finite")
@@ -397,24 +362,6 @@ def _exceedances(observed: float, draws: np.ndarray, tail: str,
     if tail == "right":
         return int(np.count_nonzero(draws >= observed - tie_tolerance))
     raise ValueError(f"unknown tail {tail!r}")
-
-
-def monte_carlo_pvalue(
-    observed: float,
-    draws: np.ndarray,
-    mode: str = "monte_carlo",
-    tail: str = "two_sided",
-) -> PValue:
-    """Permutation p-value: add-one rule, or exact over a full orbit.
-
-    two_sided compares |draw| against |observed|; right compares signed
-    values.  Draws within ``TIE_TOLERANCE`` of the observed statistic count
-    as exceedances, so ties are resolved conservatively.
-    """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 1 or draws.size == 0:
-        raise ValueError("need a non-empty vector of null draws")
-    return _pvalue(_exceedances(observed, draws, tail), draws.size, mode)
 
 
 def _pvalue(k: int, b: int, mode: str) -> PValue:

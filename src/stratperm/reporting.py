@@ -2,9 +2,10 @@
 
 The on-disk format is one tidy CSV: ``subject``, ``stratum``, ``treatment``,
 then a ``baseline_<endpoint>`` / ``outcome_<endpoint>`` column pair per
-endpoint.  Loading is strict: unknown columns, missing cells, unpaired
-endpoint columns, and single-arm strata are all reported as errors with
-enough context to find them (file line numbers, column names).
+endpoint.  Loading is strict: unknown columns, missing cells, empty or
+repeated subject ids, unpaired endpoint columns, and single-arm strata are
+all reported as errors with enough context to find them (file line numbers,
+column names).
 """
 
 from __future__ import annotations
@@ -127,8 +128,10 @@ class TrialDataset:
         if set(baselines) != set(outcomes):
             raise TrialDataError("baseline and outcome endpoint names differ")
         n = len(np.asarray(strata))
-        if subjects is None:
-            subjects = tuple(f"S{i+1:03d}" for i in range(n))
+        subjects = tuple(f"S{i+1:03d}" for i in range(n)) if subjects is None else tuple(subjects)
+        # As load_trial_csv requires of the file write_trial_csv makes.
+        if len(subjects) != n or len(set(map(str, subjects)) - {""}) != n:
+            raise TrialDataError(f"need {n} distinct, non-empty subject ids")
         endpoints = {}
         for name in baselines:
             endpoints[name] = TrialData.from_arrays(
@@ -136,7 +139,7 @@ class TrialDataset:
             )
         return cls(
             endpoints=endpoints,
-            subjects=tuple(subjects),
+            subjects=subjects,
             control_label=control_label,
             treated_label=treated_label,
         )
@@ -199,7 +202,7 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
     col_index = {c: i for i, c in enumerate(header)}
     subjects, strata, treatments = [], [], []
     values = {c: [] for c in header if c not in _ID_COLUMNS}
-    bad_cells = []
+    bad_cells, bad_ids, first_line = [], [], {}
     for line_no, row in rows[1:]:
         if not row or all(not cell.strip(_BLANKS) for cell in row):
             continue
@@ -207,7 +210,14 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
             raise TrialDataError(
                 f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}"
             )
-        subjects.append(row[col_index["subject"]].strip(_BLANKS))
+        subject = row[col_index["subject"]].strip(_BLANKS)
+        if not subject:
+            bad_ids.append(f"line {line_no} (empty)")
+        elif subject in first_line:
+            bad_ids.append(f"line {line_no} ({subject!r}, as on line {first_line[subject]})")
+        else:
+            first_line[subject] = line_no
+        subjects.append(subject)
         strata.append(row[col_index["stratum"]].strip(_BLANKS))
         treatments.append(row[col_index["treatment"]].strip(_BLANKS))
         for col, store in values.items():
@@ -223,6 +233,10 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
         raise TrialDataError(
             f"{path}: {len(bad_cells)} missing or non-numeric cells: {shown}{more}"
         )
+    if bad_ids:
+        more = "" if len(bad_ids) <= 10 else f" and {len(bad_ids) - 10} more"
+        raise TrialDataError(f"{path}: {len(bad_ids)} empty or repeated subject ids: "
+                             f"{', '.join(bad_ids[:10])}{more}")
     if not subjects:
         raise TrialDataError(f"{path}: no data rows")
 

@@ -135,6 +135,29 @@ def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_rejects_empty_and_repeated_subject_ids(tmp_path, capsys):
+    # P1 appears once in each arm and one row has no subject: nine rows, but
+    # not nine subjects.
+    path = tmp_path / "trial.csv"
+    path.write_text("\n".join([
+        "subject,stratum,treatment,baseline_pain,outcome_pain",
+        "P1,a,treated,1.0,2.0",
+        "P2,a,control,2.0,1.5",
+        "P1,a,control,1.5,1.0",
+        "P4,a,treated,0.5,2.5",
+        "P5,b,treated,1.0,2.0",
+        ",b,control,2.5,1.0",
+        "P7,b,treated,1.2,2.2",
+        "P8,b,control,0.7,0.9",
+        "P9,b,control,1.1,1.4",
+    ]) + "\n")
+    code = main(["analyze", "--input", str(path), "--permutations", "99"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "2 empty or repeated subject ids" in err
+    assert "line 4 ('P1', as on line 2)" in err and "line 7 (empty)" in err
+
+
 def test_analyze_unknown_method_exits_2(trial_csv, capsys):
     code = main(
         ["analyze", "--input", str(trial_csv), "--methods", "ancova,anova"]

@@ -27,10 +27,9 @@ from stratperm.linear_model import SingularDesignError, student_t_two_sided_p
 from stratperm.randomization import (
     PermutationPlan,
     StratumLayout,
+    _exceedances,
+    _pvalue,
     derive_stream,
-    enumerate_assignments,
-    enumerate_within_stratum_permutations,
-    monte_carlo_pvalue,
     sample_assignments,
 )
 
@@ -40,7 +39,11 @@ from reference.least_squares import (
     fit_least_squares,
     orthonormal_columns,
 )
-from reference.orbits import sample_within_stratum_permutations
+from reference.orbits import (
+    all_assignments,
+    all_within_stratum_permutations,
+    sample_within_stratum_permutations,
+)
 
 TIE = 1e-12
 
@@ -142,7 +145,7 @@ def test_ancova_and_lm_permutation_share_observed_statistic():
 def test_stratified_diff_means_exact_matches_brute_force():
     data = small_trial()
     result = METHODS["stratified_diff_means"](data, exact_plan(data))
-    zmat = enumerate_assignments(data.layout)
+    zmat = all_assignments(data.layout)
     y = data.y
     obs = y[data.z == 1].mean() - y[data.z == 0].mean()
     draws = np.array([y[r == 1].mean() - y[r == 0].mean() for r in zmat])
@@ -155,7 +158,7 @@ def test_stratified_diff_means_exact_matches_brute_force():
 def test_sum_abs_exact_matches_brute_force():
     data = small_trial()
     result = METHODS["stratified_sum_abs"](data, exact_plan(data))
-    zmat = enumerate_assignments(data.layout)
+    zmat = all_assignments(data.layout)
     y, s = data.y, data.strata
 
     def stat(zrow):
@@ -177,7 +180,7 @@ def test_sum_abs_exact_matches_brute_force():
 def test_lm_permutation_exact_matches_full_refits():
     data = small_trial()
     result = METHODS["lm_permutation"](data, exact_plan(data))
-    zmat = enumerate_assignments(data.layout)
+    zmat = all_assignments(data.layout)
     t_obs = refit_t(data.strata, data.x, data.z, data.y)
     draws = np.array(
         [refit_t(data.strata, data.x, r.astype(float), data.y) for r in zmat]
@@ -193,7 +196,7 @@ def test_freedman_lane_exact_matches_full_refits():
 
     design0 = build_design(data.strata, data.x)
     fit0 = fit_least_squares(design0, data.y)
-    perms = enumerate_within_stratum_permutations(data.layout)
+    perms = all_within_stratum_permutations(data.layout)
     t_obs = refit_t(data.strata, data.x, data.z, data.y)
     draws = np.array(
         [
@@ -214,7 +217,7 @@ def test_freedman_lane_exact_matches_full_refits():
 def test_manly_exact_matches_full_refits():
     data = small_trial()
     result = METHODS["manly"](data, exact_plan(data))
-    perms = enumerate_within_stratum_permutations(data.layout)
+    perms = all_within_stratum_permutations(data.layout)
     t_obs = refit_t(data.strata, data.x, data.z, data.y)
     draws = np.array(
         [
@@ -245,7 +248,7 @@ def test_kennedy_exact_matches_full_refits():
         cov = sigma2 * np.linalg.inv(m.T @ m)
         return coef[-1] / np.sqrt(cov[-1, -1])
 
-    perms = enumerate_within_stratum_permutations(data.layout)
+    perms = all_within_stratum_permutations(data.layout)
     t_obs = t_of(eps)
     draws = np.array([t_of(eps[perm]) for perm in perms])
     k = np.sum(np.abs(draws) >= abs(t_obs) - TIE)
@@ -279,7 +282,7 @@ def test_lm_permutation_scores_singular_draws_zero():
 
     dummies = np.equal.outer(strata, np.array([0, 1])).astype(float)
     draws = []
-    for row in enumerate_assignments(data.layout).astype(float):
+    for row in all_assignments(data.layout).astype(float):
         m = np.column_stack([dummies, x, row])
         singular = np.linalg.matrix_rank(m) < m.shape[1]
         draws.append(0.0 if singular else refit_t(strata, x, row, y))
@@ -545,6 +548,8 @@ def test_npc_validates_shapes_and_combiner():
     with pytest.raises(ValueError):
         npc_combine(np.zeros(2), np.zeros(10))
     with pytest.raises(ValueError):
+        npc_combine(np.zeros(2), np.zeros((0, 2)))
+    with pytest.raises(ValueError):
         npc_combine(np.zeros(2), draws, combiner="median")
 
 
@@ -646,6 +651,11 @@ def _oracle_t(draws, fixed, q, df, draws_are_target):
     return np.where(bad, 0.0, t), int(np.count_nonzero(bad))
 
 
+def oracle_p(statistic, draws, mode, tail="two_sided"):
+    """The p-value of ``statistic`` against the oracle's null ``draws``."""
+    return _pvalue(_exceedances(statistic, draws, tail), draws.shape[0], mode)
+
+
 def _oracle(data, plan, method):
     """(statistic, null draws, degenerate draws) of ``method`` computed the
     direct way: the plan's whole (draws, units) orbit matrix, each test's
@@ -653,8 +663,8 @@ def _oracle(data, plan, method):
     observed stratum correlations and the (draws, strata) null matrix."""
     layout, exact = plan.layout, plan.mode == "exact"
     if exact:
-        zmat = enumerate_assignments(layout)
-        perm = enumerate_within_stratum_permutations(layout)
+        zmat = all_assignments(layout)
+        perm = all_within_stratum_permutations(layout)
     else:
         zmat = sample_assignments(layout, plan.stream(), plan.draws)
         perm = sample_within_stratum_permutations(layout, plan.stream(), plan.draws)
@@ -733,7 +743,7 @@ def test_engine_matches_explicit_projection_oracle(mode, seed, sizes, draws):
         result = METHODS[method](data, plan)
         statistic, draws, degenerate = _oracle(data, plan, method)
         tail = "right" if method == "stratified_sum_abs" else "two_sided"
-        p = monte_carlo_pvalue(statistic, draws, mode, tail=tail)
+        p = oracle_p(statistic, draws, mode, tail)
         # The engine fits in closed form, the oracle by QR: the observed
         # statistics agree to rounding, the p-values exactly.
         assert result.statistic == pytest.approx(statistic, rel=1e-12, abs=0), method
@@ -768,8 +778,8 @@ def test_one_battery_call_equals_the_separate_calls(mode, seed, sizes, draws):
         assert both.per_stratum == alone.per_stratum, name
         assert both.flags == alone.flags, name
         assert both.null_summary == alone.null_summary, name
-        if name not in ("ancova", "exchangeability"):
-            assert both.null_summary is None, name
+        if name != "exchangeability":
+            assert both.per_stratum is None and both.null_summary is None, name
 
 
 def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
@@ -803,12 +813,12 @@ def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
         result = METHODS[method](data, plan)
         statistic, draws, degenerate = _oracle(data, plan, method)
         assert result.statistic == pytest.approx(statistic, rel=1e-12, abs=0), method
-        assert result.p_value == monte_carlo_pvalue(statistic, draws, "exact"), method
+        assert result.p_value == oracle_p(statistic, draws, "exact"), method
         assert result.degenerate_draws == degenerate, method
     ((rows, redo, out),) = seen
     assert rows == "residuals" and redo.size >= 4
     residuals = hypothesis_tests._Battery(data, plan, ("freedman_lane",)).values(rows)
-    perms = enumerate_within_stratum_permutations(data.layout)
+    perms = all_within_stratum_permutations(data.layout)
     np.testing.assert_array_equal(out, residuals[perms[redo]])
 
 
@@ -929,7 +939,7 @@ def test_replayed_rows_reproject_a_chunked_block(monkeypatch):
     assert redone == [1024, 1024, 1024, 1024, 1024, 1024, 452, 452, 452]
     for method in methods:
         statistic, draws, degenerate = _oracle(data, plan, method)
-        p = monte_carlo_pvalue(statistic, draws, plan.mode)
+        p = oracle_p(statistic, draws, plan.mode)
         assert plain[method].p_value == p, method
         assert replayed[method].p_value == p, method
         assert replayed[method].degenerate_draws == plain[method].degenerate_draws == degenerate

@@ -1,8 +1,8 @@
 """Tests for stratified assignment sampling, enumeration, and p-value rules.
 
-Enumeration oracles are rebuilt here from itertools; uniformity checks use
-binomial confidence bounds wide enough to keep false alarms effectively
-impossible at the fixed seeds.
+Enumeration oracles are rebuilt here and in ``reference.orbits`` from
+itertools; uniformity checks use binomial confidence bounds wide enough to
+keep false alarms effectively impossible at the fixed seeds.
 """
 import itertools
 import math
@@ -11,22 +11,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratperm.hypothesis_tests import METHODS, TrialData
 from stratperm.randomization import (
     PermutationPlan,
     PValue,
     StratumLayout,
+    _exceedances,
+    _pvalue,
     count_assignments,
     count_within_stratum_permutations,
     derive_seed,
     derive_stream,
     enumerate_assignments,
     enumerate_within_stratum_permutations,
-    monte_carlo_pvalue,
     orbit_blocks,
     sample_assignments,
 )
 
-from reference.orbits import sample_within_stratum_permutations
+from reference.orbits import (
+    all_assignments,
+    all_within_stratum_permutations,
+    sample_within_stratum_permutations,
+)
 
 CONTIGUOUS = StratumLayout.from_counts((5, 7, 4), (2, 3, 1))
 INTERLEAVED = StratumLayout(
@@ -102,9 +108,21 @@ def test_orbit_counts():
     )
 
 
+def test_per_stratum_enumerators_follow_itertools_order():
+    for n, t in ((2, 1), (4, 2), (5, 3), (7, 1)):
+        rows = enumerate_assignments(n, t)
+        assert rows.dtype == np.bool_
+        assert [tuple(np.flatnonzero(r)) for r in rows] == list(
+            itertools.combinations(range(n), t))
+        perms = enumerate_within_stratum_permutations(n)
+        assert perms.dtype == np.intp
+        assert [tuple(r) for r in perms] == list(itertools.permutations(range(n)))
+
+
 def test_enumerate_assignments_matches_itertools_oracle():
+    # The reference orbit of a two-stratum layout, against a set built here.
     layout = StratumLayout.from_counts((4, 3), (2, 1))
-    rows = enumerate_assignments(layout)
+    rows = all_assignments(layout)
     assert rows.shape == (6 * 3, 7)
 
     oracle = set()
@@ -122,7 +140,7 @@ def test_enumerate_assignments_respects_interleaved_codes():
     layout = StratumLayout(
         sizes=(2, 2), treated=(1, 1), codes=np.array([0, 1, 0, 1])
     )
-    rows = enumerate_assignments(layout)
+    rows = all_assignments(layout)
     assert rows.shape == (4, 4)
     # stratum 0 lives at positions 0 and 2, stratum 1 at positions 1 and 3
     np.testing.assert_array_equal(rows[:, [0, 2]].sum(axis=1), np.ones(4))
@@ -131,7 +149,7 @@ def test_enumerate_assignments_respects_interleaved_codes():
 
 def test_enumerate_permutations_matches_itertools_oracle():
     layout = StratumLayout.from_counts((3, 2), (1, 1))
-    rows = enumerate_within_stratum_permutations(layout)
+    rows = all_within_stratum_permutations(layout)
     assert rows.shape == (12, 5)
     oracle = {
         left + right
@@ -142,7 +160,7 @@ def test_enumerate_permutations_matches_itertools_oracle():
 
     # stratum 0 at positions 0 and 2, stratum 1 at positions 1, 3 and 4
     layout = StratumLayout(sizes=(2, 3), treated=(1, 1), codes=np.array([0, 1, 0, 1, 1]))
-    rows = enumerate_within_stratum_permutations(layout)
+    rows = all_within_stratum_permutations(layout)
     oracle = []
     for left in itertools.permutations((0, 2)):
         for right in itertools.permutations((1, 3, 4)):
@@ -150,12 +168,29 @@ def test_enumerate_permutations_matches_itertools_oracle():
     assert [tuple(r) for r in rows] == oracle
 
 
+def _exact_trial(sizes, treated):
+    """A trial of ``sizes`` units, ``treated`` of them treated per stratum,
+    and its exact plan."""
+    rng = np.random.default_rng(19)
+    strata = np.repeat(np.arange(len(sizes)), sizes)
+    z = np.concatenate([np.repeat(np.int8([1, 0]), (t, n - t)) for n, t in zip(sizes, treated)])
+    x = rng.standard_normal(strata.size)
+    data = TrialData.from_arrays(strata, z, x, x + 0.5 * z + rng.standard_normal(strata.size))
+    return data, PermutationPlan(layout=data.layout, mode="exact")
+
+
 def test_enumeration_cap_reports_count():
-    layout = StratumLayout.from_counts((16, 16), (8, 8))
-    with pytest.raises(ValueError, match=str(12870 * 12870)):
-        enumerate_assignments(layout)
-    with pytest.raises(ValueError, match="monte_carlo"):
-        enumerate_within_stratum_permutations(StratumLayout.from_counts((16,), (8,)))
+    # The cap applies to the whole orbit a plan's tests need: 924^2
+    # assignments are under it, (12!)^2 permutations and 12870^2
+    # assignments are not.
+    data, plan = _exact_trial((12, 12), (6, 6))
+    result = METHODS["stratified_diff_means"](data, plan)
+    assert result.p_value.draws == 924 ** 2 == 853_776
+    with pytest.raises(ValueError, match="229442532802560000 permutations.*monte_carlo"):
+        METHODS["freedman_lane"](data, plan)
+    data, plan = _exact_trial((16, 16), (8, 8))
+    with pytest.raises(ValueError, match=f"{12870 ** 2} assignments.*monte_carlo"):
+        METHODS["stratified_diff_means"](data, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +216,7 @@ def test_single_pair_assignment_frequency():
 
 def test_assignment_sampling_is_uniform_over_orbit():
     layout = StratumLayout.from_counts((4, 4), (2, 2))
-    rows = enumerate_assignments(layout)
+    rows = all_assignments(layout)
     keys = {tuple(r): i for i, r in enumerate(rows)}
     stream = derive_stream(77)
     draws = sample_assignments(layout, stream, 36_000)
@@ -262,18 +297,17 @@ def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
             assert np.all(np.sort(units, axis=1) == positions[j])
     if mode == "exact":
         # One crossed block of one chunk per stratum: each stratum's orbit
-        # once, enumerated on its one-stratum layout.  Draw r combines the
+        # once, from the per-stratum enumerators.  Draw r combines the
         # strata's rows in C order, earlier strata slowest, which is the
-        # full enumeration's order.
+        # reference enumeration's order.
         (block,) = blocks
         assert [(j, lo) for j, lo, _, _ in block] == [(0, 0), (1, 0), (2, 0)]
         for (j, _, treated, units), n, t in zip(block, INTERLEAVED.sizes, INTERLEAVED.treated):
-            one = StratumLayout.from_counts((n,), (t,))
-            np.testing.assert_array_equal(treated, enumerate_assignments(one) == 1)
+            np.testing.assert_array_equal(treated, enumerate_assignments(n, t))
             np.testing.assert_array_equal(
-                units, positions[j][enumerate_within_stratum_permutations(one)])
-        for full, k in ((enumerate_assignments(INTERLEAVED) == 1, 2),
-                        (enumerate_within_stratum_permutations(INTERLEAVED), 3)):
+                units, positions[j][enumerate_within_stratum_permutations(n)])
+        for full, k in ((all_assignments(INTERLEAVED) == 1, 2),
+                        (all_within_stratum_permutations(INTERLEAVED), 3)):
             at = np.unravel_index(np.arange(full.shape[0]), [c[k].shape[0] for c in block])
             for pos, chunk, rows in zip(positions, block, at):
                 np.testing.assert_array_equal(full[:, pos], chunk[k][rows])
@@ -348,9 +382,15 @@ def test_sample_assignment_repeatable_from_same_seed():
 # p-value rules
 
 
+def _p(observed, draws, mode="monte_carlo", tail="two_sided") -> PValue:
+    """The p-value of ``observed`` against the null ``draws``."""
+    draws = np.asarray(draws, dtype=float)
+    return _pvalue(_exceedances(observed, draws, tail), draws.size, mode)
+
+
 def test_monte_carlo_pvalue_known_count():
     draws = np.arange(1.0, 11.0)  # 1..10
-    p = monte_carlo_pvalue(5.5, draws, tail="two_sided")
+    p = _p(5.5, draws)
     assert p.exceedances == 5
     assert p.value == pytest.approx(6.0 / 11.0)
     assert p.mode == "monte_carlo"
@@ -358,27 +398,24 @@ def test_monte_carlo_pvalue_known_count():
 
 def test_monte_carlo_pvalue_counts_ties():
     draws = np.array([1.0, 2.0, 3.0])
-    p = monte_carlo_pvalue(2.0, draws, tail="two_sided")
-    assert p.exceedances == 2  # the tie at 2.0 and the 3.0
+    assert _exceedances(2.0, draws, "two_sided") == 2  # the tie at 2.0 and the 3.0
 
 
 def test_right_tail_uses_signed_values():
     draws = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
-    two = monte_carlo_pvalue(2.0, draws, tail="two_sided")
-    right = monte_carlo_pvalue(2.0, draws, tail="right")
-    assert two.exceedances == 2
-    assert right.exceedances == 1
+    assert _exceedances(2.0, draws, "two_sided") == 2
+    assert _exceedances(2.0, draws, "right") == 1
 
 
 def test_exact_mode_divides_by_orbit_size():
     draws = np.array([0.5, 1.0, 1.5, 2.0])
-    p = monte_carlo_pvalue(1.5, draws, mode="exact", tail="two_sided")
+    p = _p(1.5, draws, mode="exact")
     assert p.value == pytest.approx(2.0 / 4.0)
 
 
 def test_exact_mode_requires_observed_in_orbit():
     with pytest.raises(ValueError, match="orbit"):
-        monte_carlo_pvalue(9.0, np.array([0.1, 0.2]), mode="exact")
+        _p(9.0, np.array([0.1, 0.2]), mode="exact")
 
 
 def test_pvalue_validates_range():
@@ -390,11 +427,11 @@ def test_pvalue_validates_range():
 
 def test_monte_carlo_pvalue_rejects_bad_input():
     with pytest.raises(ValueError):
-        monte_carlo_pvalue(math.inf, np.array([1.0]))
+        _exceedances(math.inf, np.array([1.0]), "two_sided")
     with pytest.raises(ValueError):
-        monte_carlo_pvalue(1.0, np.array([]))
+        _exceedances(1.0, np.array([1.0]), "left")
     with pytest.raises(ValueError):
-        monte_carlo_pvalue(1.0, np.array([1.0]), tail="left")
+        _pvalue(1, 1, "bootstrap")
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,9 +441,9 @@ def test_monte_carlo_pvalue_rejects_bad_input():
 )
 def test_pvalue_bounds_and_monotonicity(draws, observed):
     draws = np.asarray(draws, dtype=float)
-    p = monte_carlo_pvalue(observed, draws, tail="two_sided")
+    p = _p(observed, draws)
     assert 1.0 / (draws.size + 1) <= p.value <= 1.0
-    stronger = monte_carlo_pvalue(observed * 2.0, draws, tail="two_sided")
+    stronger = _p(observed * 2.0, draws)
     if abs(observed * 2.0) >= abs(observed):
         assert stronger.value <= p.value
 

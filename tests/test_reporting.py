@@ -140,6 +140,25 @@ def test_load_lists_bad_cells_with_line_numbers(tmp_path):
     assert "line 7" in str(info.value)
 
 
+def test_load_lists_at_most_ten_repeated_subject_ids(tmp_path):
+    # Lines 4 to 15 repeat the subject id of line 2: twelve repeats.
+    body = basic_rows().split("\n")
+    body[2:14] = ["P00," + row.split(",", 1)[1] for row in body[2:14]]
+    path = write_csv(tmp_path, "\n".join(body))
+    with pytest.raises(TrialDataError, match="12 empty or repeated subject ids") as info:
+        load_trial_csv(path)
+    assert "line 4 ('P00', as on line 2)" in str(info.value)
+    assert str(info.value).endswith("and 2 more")
+
+
+@pytest.mark.parametrize("subjects", [["S1", "S1", "S3", "S4"], ["S1", "", "S3", "S4"],
+                                      ["S1", "S2", "S3"]], ids=["repeated", "empty", "short"])
+def test_build_rejects_subject_ids_the_loader_would_reject(subjects):
+    x = np.arange(4.0)
+    with pytest.raises(TrialDataError, match="4 distinct, non-empty subject ids"):
+        TrialDataset.build(["a"] * 4, [1, 0, 1, 0], {"pain": x}, {"pain": x}, subjects=subjects)
+
+
 def test_load_rejects_wrong_field_count_with_line(tmp_path):
     body = basic_rows() + "\nP99,north,drug,1.0"
     path = write_csv(tmp_path, body)

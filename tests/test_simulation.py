@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from stratperm.cli import main
 from stratperm.hypothesis_tests import METHODS, run_trial, tally_battery
 from stratperm.randomization import PermutationPlan, StratumLayout, derive_stream
+from stratperm.reporting import TrialDataset, write_trial_csv
 from stratperm.simulation import (
     DEFAULT_TESTS,
     ERROR_DISTS,
@@ -413,6 +415,45 @@ def test_power_study_records_draws_used():
     assert np.any(used < 3000)
     # A stopped p-value is not rejected; one that ran to the end may be.
     assert np.all(res.p_values[:, 1:][used < 3000] > cfg.alpha)
+
+
+# (family, gamma) per round trip.  In replication 1, every permutation test
+# uses all its draws at gamma 1, some do at 0.2, and all stop early at 0.
+ROUND_TRIPS = [("continuous", 1.0), ("discrete", 1.0), ("nonlinear", 0.2), ("continuous", 0.0)]
+
+
+@pytest.mark.parametrize("family,gamma", ROUND_TRIPS, ids=[f"{f}-{g}" for f, g in ROUND_TRIPS])
+def test_a_replication_reruns_in_analyze(tmp_path, capsys, family, gamma):
+    # A replication's trial, written as a trial CSV and analysed with its
+    # plan's seed, gives the power study's p-values: exactly for a test that
+    # used all its draws, and no lower for one stopped once decided.
+    # 2,999 draws span three blocks, so tests can stop early.
+    cfg = config(family=family, latent="heterogeneous", gamma=gamma, sizes=(8, 8, 8),
+                 treated=(4, 4, 4), replications=2, permutations=2999,
+                 tests=tuple(METHODS), master_seed=17)
+    study = run_power_study(cfg)
+    data, plan, _ = _replication_inputs(cfg, 1)
+    trial, report = tmp_path / "trial.csv", tmp_path / "report.json"
+    write_trial_csv(TrialDataset.build(data.strata, data.z, {"y": data.x}, {"y": data.y}), trial)
+    code = main(["analyze", "--input", str(trial), "--methods", ",".join(cfg.tests),
+                 "--permutations", str(cfg.permutations), "--seed", str(plan.master_seed),
+                 "--out", str(report)])
+    capsys.readouterr()
+    assert code == 0
+    analyzed = {row["method"]: row["p_value"]
+                for row in json.loads(report.read_text())["rows"]}
+    full = stopped = 0
+    for test, p, used in zip(cfg.tests, study.p_values[1], study.draws_used[1]):
+        if used in (0, cfg.permutations):
+            assert p == analyzed[test], test
+            full += test != "ancova"
+        else:
+            assert p <= analyzed[test], test
+            stopped += 1
+    if gamma:
+        assert full
+    else:
+        assert stopped == len(cfg.tests) - 1
 
 
 def test_power_ratio_table_matches_hand_division():
