@@ -20,11 +20,14 @@ per stratum and kind of row, for every endpoint, and then dropped.  Each
 test is split into its observed side and a null that scores one block from
 those products; every null statistic is a sum of per-stratum products, so
 nothing of size (draws x units) lives past one chunk, and beyond one block
-only the null statistics are kept.  An exact orbit is one crossed block,
-each stratum's orbit listed once as one chunk: its per-stratum products are
-(orbit_j, columns) and are added over the grid of their combinations,
-stratum after stratum, in the order a Monte-Carlo block adds its aligned
-rows, so exact memory is O(orbit x columns), not O(orbit x units).
+only the null statistics are kept.  An exact orbit is one crossed block per
+kind, each stratum's orbit listed once as one chunk: its per-stratum products
+are (orbit_j, columns), multiplied once, and the grid of their combinations
+is scored in contiguous sub-grids of at most 8,192 draws, each a crossed
+block of slices of those products, added stratum after stratum in the order
+a Monte-Carlo block adds its aligned rows.  Every null statistic is thus the
+one the whole grid would give, and exact memory is O(8,192 x columns) beyond
+the strata's own orbits, whatever the orbit's size.
 
 One loop walks the orbit and counts each test's exceedances block by
 block; only the exchangeability diagnostic keeps its null statistics, for
@@ -69,6 +72,7 @@ from .randomization import (
     StratumLayout,
     _exceedances,
     _pvalue,
+    _subgrids,
     orbit_blocks,
 )
 
@@ -404,7 +408,9 @@ class _Battery:
 def _blocks(plan: PermutationPlan, batteries):
     """The plan's orbit, one block of draws at a time: per block, one
     :class:`_Block` per battery, all cut from the same draws.  Each chunk of
-    draws is multiplied in for every battery as it is read, and not kept."""
+    draws is multiplied in for every battery as it is read, and not kept.
+    An exact orbit's crossed block is multiplied in whole and yielded as its
+    sub-grids (see :func:`~stratperm.randomization._subgrids`)."""
     rows = set().union(*(battery.needs for battery in batteries))
     for chunks, replay in orbit_blocks(plan, assignments=_ASSIGNMENTS in rows,
                                        permutations=bool(rows - {_ASSIGNMENTS})):
@@ -413,7 +419,17 @@ def _blocks(plan: PermutationPlan, batteries):
             treated = None if treated is None else treated.astype(float)
             for block in blocks:
                 block.add(j, treated, units)
-        yield blocks
+        if plan.mode == "monte_carlo":
+            yield blocks
+            continue
+        # One chunk per stratum, listing the stratum's whole orbit.
+        counts = [(u if t is None else t).shape[0] for _, _, t, u in replay()]
+        for grid in _subgrids(counts):
+            def sub_replay(replay=replay, grid=grid):
+                return ((j, 0, None if t is None else t[g], None if u is None else u[g])
+                        for (j, _, t, u), g in zip(replay(), grid))
+
+            yield [block.cut(grid, sub_replay) for block in blocks]
 
 
 def _on_grid(terms) -> list:
@@ -430,12 +446,14 @@ class _Block:
     one matrix product per stratum, kind of row and chunk of draws.
 
     A Monte-Carlo block is aligned: row b of every stratum's products belongs
-    to draw b.  An exact block is crossed: each stratum's products list that
-    stratum's orbit once, and the draws are every combination of their rows
-    (:func:`_on_grid`), so per-draw totals are broadcast sums of per-stratum
-    terms, added stratum after stratum as in the aligned case.  The draws
-    themselves are not kept: ``replay()`` reads the block's chunks again
-    (see :func:`~stratperm.randomization.orbit_blocks`).
+    to draw b, and it holds every kind of row the tests need.  An exact block
+    is crossed and holds one kind: each stratum's products list a slice of
+    that stratum's orbit (:meth:`cut` from the whole orbit's products), and
+    the draws are every combination of their rows (:func:`_on_grid`), so
+    per-draw totals are broadcast sums of per-stratum terms, added stratum
+    after stratum as in the aligned case.  The draws themselves are not
+    kept: ``replay()`` reads the block's chunks again (see
+    :func:`~stratperm.randomization.orbit_blocks`).
     """
 
     def __init__(self, battery: _Battery, replay):
@@ -449,8 +467,28 @@ class _Block:
         into the columns each kind of row needs."""
         battery = self.battery
         for rows, chunks in self._chunks.items():
-            drawn = treated if rows == _ASSIGNMENTS else battery.values(rows)[units]
+            drawn = treated if rows == _ASSIGNMENTS else units
+            if drawn is None:  # an exact orbit of the other kind
+                continue
+            if rows != _ASSIGNMENTS:
+                drawn = battery.values(rows)[drawn]
             chunks[j].append(drawn @ battery.stratum_columns[rows][j])
+
+    def cut(self, grid, replay) -> "_Block":
+        """The sub-grid of this crossed block that takes rows ``grid[j]`` of
+        stratum j, its draws read again by ``replay()``: its products are
+        slices of this block's, so each draw's are the whole grid's."""
+        sub = _Block(self.battery, replay)
+        for rows, chunks in self._chunks.items():
+            if chunks[0]:
+                for part, (product,), g in zip(sub._chunks[rows], chunks, grid):
+                    part.append(product[g])
+        return sub
+
+    def holds(self, method: str) -> bool:
+        """Whether the block has draws of every kind of row ``method``
+        needs; an exact block holds one kind."""
+        return all(self._chunks[rows][0] for rows in _TESTS[method][1])
 
     @cached_property
     def products(self) -> dict:
@@ -458,9 +496,10 @@ class _Block:
         products and their per-draw totals."""
         out = {}
         for rows, names in self.battery.needs.items():
-            # A stratum of one chunk, as in every exact block, is not copied.
-            per = [p[0] if len(p) == 1 else np.concatenate(p) for p in self._chunks[rows]]
-            out[rows] = (list(names), per, self.combine(per))
+            if self._chunks[rows][0]:
+                # A stratum of one chunk, as in every exact block, is not copied.
+                per = [p[0] if len(p) == 1 else np.concatenate(p) for p in self._chunks[rows]]
+                out[rows] = (list(names), per, self.combine(per))
         return out
 
     def combine(self, terms) -> np.ndarray:
@@ -844,7 +883,8 @@ def _run(plan: PermutationPlan, runs, stop_at: int | None = None) -> None:
         if blocks is None:
             return
         for i, s in live:
-            s.score(blocks[i])
+            if blocks[i].holds(s.method):
+                s.score(blocks[i])
         del blocks  # release this block before the next is drawn
 
 

@@ -22,12 +22,15 @@ and memory does not grow with the number of units.  Because the stream is
 consumed in order, the first m blocks are the same whether or not later
 blocks are drawn, which is what lets a power study stop drawing early; a
 block is read again by replaying the stream from its state at the block's
-start.  An exact orbit is one crossed block of one chunk per stratum: each
-stratum's orbit enumerated once, on its own, by the per-stratum enumerators
+start.  An exact orbit is read one kind at a time, each kind as one
+crossed block of one chunk per stratum: each stratum's orbit enumerated
+once, on its own, by the per-stratum enumerators
 (:func:`enumerate_assignments`, :func:`enumerate_within_stratum_permutations`,
 in lexicographic order), with draw r the C-order combination of the strata's
 rows (earlier strata slowest), so the (orbit, units) matrices are never
-built and the battery's memory is O(orbit x columns), not O(orbit x units).
+built.  :func:`_subgrids` cuts that grid into contiguous sub-grids of at most
+8,192 draws, which is how the battery scores it, so the battery's memory is
+O(sum of stratum orbits x units + 8,192 x columns), not O(orbit x columns).
 
 Randomness is derived, never passed around as global state: a master seed and
 an index tuple give an independent stream via ``SeedSequence`` spawn keys, so
@@ -72,6 +75,9 @@ _BLOCK_DRAWS = 1024
 # Each stratum's part of a Monte-Carlo block is drawn in row chunks of at most
 # this many unit positions (one row at least).
 _CHUNK_UNITS = 1 << 16
+
+# An exact orbit is scored in contiguous sub-grids of at most this many draws.
+_EXACT_BLOCK_DRAWS = 1 << 13
 
 # How a Monte-Carlo orbit is drawn, as recorded in report and simulation
 # provenance.
@@ -149,8 +155,9 @@ class PermutationPlan:
     """How a permutation null is to be computed.
 
     mode "exact" enumerates the whole orbit, up to
-    ``DEFAULT_ENUMERATION_CAP`` draws, as one crossed block that lists each
-    stratum's orbit once; mode "monte_carlo" samples ``draws``
+    ``DEFAULT_ENUMERATION_CAP`` draws, as one crossed block per kind that
+    lists each stratum's orbit once, scored in contiguous sub-grids of at
+    most 8,192 draws; mode "monte_carlo" samples ``draws``
     re-randomizations from the stream derived from ``master_seed``, in blocks
     of 1,024 draws.  Every test run with one plan sees the same draws; in
     monte_carlo mode the assignments are cut from the sampled within-stratum
@@ -258,9 +265,11 @@ def _sampled_blocks(positions, stream: np.random.Generator, draws: int):
 def enumerate_assignments(n: int, t: int) -> np.ndarray:
     """All C(n, t) ways to treat t of n units, as a (C(n, t), n) boolean
     matrix: row r treats the units of the r-th combination in lexicographic
-    order (``itertools.combinations``)."""
-    chosen = np.array(list(itertools.combinations(range(n), t)))
-    out = np.zeros((chosen.shape[0], n), dtype=bool)
+    order (``itertools.combinations``), read straight into an array."""
+    count = math.comb(n, t)
+    chosen = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), t)),
+                         dtype=np.intp, count=count * t).reshape(count, t)
+    out = np.zeros((count, n), dtype=bool)
     np.put_along_axis(out, chosen, True, axis=1)
     return out
 
@@ -268,8 +277,10 @@ def enumerate_assignments(n: int, t: int) -> np.ndarray:
 def enumerate_within_stratum_permutations(n: int) -> np.ndarray:
     """All n! reorderings of n units, as an (n!, n) index matrix: row r is
     the r-th permutation of 0..n-1 in lexicographic order
-    (``itertools.permutations``)."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    (``itertools.permutations``), read straight into an array."""
+    count = math.factorial(n)
+    return np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                       dtype=np.intp, count=count * n).reshape(count, n)
 
 
 def sample_assignments(
@@ -316,14 +327,18 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     t_j units.  Nothing of a block is kept once its chunks are read; its
     replay draws them again from the stream's state at the block's start.
 
-    An exact orbit is one crossed block of one chunk per stratum, once the
-    full orbit's count is checked against ``DEFAULT_ENUMERATION_CAP``:
-    stratum j's ``treated`` is ``enumerate_assignments(n_j, t_j)`` and its
-    ``units`` are ``pos`` reordered by
-    ``enumerate_within_stratum_permutations(n_j)``, so they have C(n_j, t_j)
-    and n_j! rows.  Draw r of the orbit combines row r_j of every stratum,
-    where (r_1, ..., r_J) is r unravelled in C order over those row counts
-    (earlier strata slowest); no (orbit, units) matrix is built.
+    An exact plan yields one crossed block per kind, once each wanted
+    orbit's count is checked against ``DEFAULT_ENUMERATION_CAP``: first the
+    assignments, whose stratum j has ``treated`` =
+    ``enumerate_assignments(n_j, t_j)`` and ``units`` None, then the
+    permutations, whose stratum j has ``treated`` None and ``units`` =
+    ``pos`` reordered by ``enumerate_within_stratum_permutations(n_j)``, so
+    C(n_j, t_j) and n_j! rows, one chunk per stratum.  The two orbits have
+    different sizes, so each is walked on its own.  Draw r of an orbit
+    combines row r_j of every stratum, where (r_1, ..., r_J) is r unravelled
+    in C order over those row counts (earlier strata slowest); no (orbit,
+    units) matrix is built, and :func:`_subgrids` cuts the grid into
+    contiguous sub-grids of at most 8,192 draws.
     """
     layout = plan.layout
     positions = layout.stratum_positions()
@@ -342,10 +357,41 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
         if wanted and count(layout) > DEFAULT_ENUMERATION_CAP:
             raise ValueError(f"exact enumeration would produce {count(layout)} {what}, "
                              f"over the cap of {DEFAULT_ENUMERATION_CAP}; use monte_carlo mode")
-    block = [(j, 0, enumerate_assignments(n, t) if assignments else None,
-              pos[enumerate_within_stratum_permutations(n)] if permutations else None)
-             for j, (pos, n, t) in enumerate(zip(positions, layout.sizes, layout.treated))]
-    yield iter(block), lambda: iter(block)
+    strata = list(enumerate(zip(positions, layout.sizes, layout.treated)))
+    if assignments:
+        block = [(j, 0, enumerate_assignments(n, t), None) for j, (_, n, t) in strata]
+        yield iter(block), lambda block=block: iter(block)
+    if permutations:
+        block = [(j, 0, None, pos[enumerate_within_stratum_permutations(n)])
+                 for j, (pos, n, _) in strata]
+        yield iter(block), lambda block=block: iter(block)
+
+
+def _subgrids(counts):
+    """The C-order grid of an exact orbit whose strata have ``counts`` rows,
+    cut into contiguous sub-grids of at most ``_EXACT_BLOCK_DRAWS`` draws:
+    yields one slice of rows per stratum.
+
+    Walking back from the last stratum, the strata whose row counts multiply
+    to at most the bound (their product is ``tail``) are taken whole; the
+    stratum before them, s, is cut into runs of max(1, bound // tail) rows,
+    and every stratum before s is fixed one row at a time.  Each sub-grid is
+    therefore a contiguous range of the orbit's draws, in order.
+    """
+    s, tail = len(counts), 1
+    while s and tail * counts[s - 1] <= _EXACT_BLOCK_DRAWS:
+        s -= 1
+        tail *= counts[s]
+    if not s:
+        yield (slice(None),) * len(counts)
+        return
+    s -= 1
+    step = max(1, _EXACT_BLOCK_DRAWS // tail)
+    whole = (slice(None),) * (len(counts) - s - 1)
+    for head in itertools.product(*map(range, counts[:s])):
+        fixed = tuple(slice(r, r + 1) for r in head)
+        for lo in range(0, counts[s], step):
+            yield fixed + (slice(lo, lo + step),) + whole
 
 
 def _exceedances(observed: float, draws: np.ndarray, tail: str,

@@ -43,7 +43,6 @@ the error law.  The heterogeneous design is no exception: both level checks
 hold ``stratified_diff_means`` at 0.05 +/- 0.01, as they hold ANCOVA,
 lm_permutation and Freedman-Lane.
 """
-import dataclasses
 import json
 from pathlib import Path
 

@@ -8,6 +8,7 @@ shortcuts in the implementation must agree with those full refits exactly
 explicit-projection oracle that builds each test's whole (draws, units)
 matrix, and a battery call against the separate test calls.
 """
+import math
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratperm import hypothesis_tests
+from stratperm import hypothesis_tests, randomization
 from stratperm.hypothesis_tests import (
     METHODS,
     TrialData,
@@ -29,7 +30,6 @@ from stratperm.randomization import (
     StratumLayout,
     _exceedances,
     _pvalue,
-    derive_stream,
     sample_assignments,
 )
 
@@ -791,7 +791,9 @@ def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
     # are decoded from its strata's rows; the rows projected must be the
     # full enumeration's.  Kennedy's projected sum of squares is the same
     # for every draw, so it never takes that path, but it must match the
-    # oracle on the same orbit.
+    # oracle on the same orbit.  The orbit's 1,152 draws are one sub-grid at
+    # the default bound, and sub-grids of 48 draws at a bound of 64, whose
+    # draws are decoded within the sub-grid and must map to the same rows.
     rng = np.random.default_rng(83)
     strata = np.repeat([0, 1, 2], (4, 4, 2))
     x = np.array([0.0, 1, 2, 3, 0, 1, 2, 3, 1, 1])
@@ -809,8 +811,9 @@ def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(hypothesis_tests._Block, "_rows", spy)
+    results = {}
     for method in ("freedman_lane", "kennedy"):
-        result = METHODS[method](data, plan)
+        result = results[method] = METHODS[method](data, plan)
         statistic, draws, degenerate = _oracle(data, plan, method)
         assert result.statistic == pytest.approx(statistic, rel=1e-12, abs=0), method
         assert result.p_value == oracle_p(statistic, draws, "exact"), method
@@ -821,11 +824,100 @@ def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
     perms = all_within_stratum_permutations(data.layout)
     np.testing.assert_array_equal(out, residuals[perms[redo]])
 
+    # Each sub-grid's draws, mapped to the orbit's through its slices of the
+    # strata's rows.
+    cut = hypothesis_tests._Block.cut
+
+    def cut_spy(block, grid, replay):
+        sub = cut(block, grid, replay)
+        sub.grid = grid
+        return sub
+
+    def rows_spy(block, rows, draws):
+        out = rows_of(block, rows, draws)
+        local = np.unravel_index(draws, [p.shape[0] for p in block.products[rows][1]])
+        orbit = np.ravel_multi_index([at + (g.start or 0) for at, g in zip(local, block.grid)],
+                                     [math.factorial(n) for n in data.layout.sizes])
+        seen.append((rows, orbit, out))
+        return out
+
+    monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", 64)
+    monkeypatch.setattr(hypothesis_tests._Block, "cut", cut_spy)
+    monkeypatch.setattr(hypothesis_tests._Block, "_rows", rows_spy)
+    seen.clear()
+    result = METHODS["freedman_lane"](data, plan)
+    assert result.p_value == results["freedman_lane"].p_value
+    assert result.degenerate_draws == results["freedman_lane"].degenerate_draws
+    assert len(seen) > 1 and {rows for rows, _, _ in seen} == {"residuals"}
+    orbit = np.concatenate([o for _, o, _ in seen])
+    np.testing.assert_array_equal(orbit, redo)
+    np.testing.assert_array_equal(np.concatenate([out for _, _, out in seen]),
+                                  residuals[perms[orbit]])
+
+
+def _exact_fields(endpoints, plan, names):
+    """Every field of each endpoint's results from one run."""
+    return [{m: (r.statistic, r.p_value, r.degenerate_draws, r.per_stratum, r.null_summary,
+                 r.flags) for m, r in result.items()}
+            for result in run_trial(endpoints, plan, names)]
+
+
+@pytest.mark.parametrize("bound", [1, 7, 64])
+def test_exact_results_do_not_depend_on_the_subgrids(bound, monkeypatch):
+    # A sub-grid is a contiguous run of the orbit whose products are slices
+    # of its strata's whole products, so its null statistics are the ones
+    # the whole grid gives, bit for bit, and so is every result: on a
+    # contiguous, an interleaved and a 3-stratum layout, for every exact
+    # test alone and for all of them on two endpoints at once.
+    score = hypothesis_tests._Scored.score
+
+    def spy(scored, block):
+        # Each test's nulls, in the order the tests first score a block.
+        nulls.setdefault(scored, (scored.method, []))[1].append(scored.null(block)[0])
+        score(scored, block)
+
+    monkeypatch.setattr(hypothesis_tests._Scored, "score", spy)
+    names = list(METHODS) + ["exchangeability"]
+    default = randomization._EXACT_BLOCK_DRAWS
+    for data in (small_trial(), interleaved_trial(6, (3, 4, 2)), interleaved_trial(7, (3, 3, 4))):
+        plan = exact_plan(data)
+        other = TrialData.from_arrays(data.strata, data.z, data.x, data.y * data.x + data.z)
+        runs = {}
+        for cut in (default, bound):
+            monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", cut)
+            nulls = {}
+            both = _exact_fields([data, other], plan, names)
+            alone = [_exact_fields([data], plan, [name])[0][name] for name in names]
+            runs[cut] = both, alone, [(m, np.concatenate(v)) for m, v in nulls.values()]
+        (both, alone, null), (both_cut, alone_cut, null_cut) = runs.values()
+        assert both_cut == both
+        assert alone_cut == alone == [both[0][name] for name in names]
+        assert [m for m, _ in null_cut] == [m for m, _ in null]
+        for (method, cut_draws), (_, draws) in zip(null_cut, null):
+            np.testing.assert_array_equal(cut_draws, draws, err_msg=method)
+
+
+def test_exact_memory_does_not_grow_with_the_orbit():
+    # Orbits of 13,824 and 138,240 within-stratum permutations: scored in
+    # sub-grids of at most 8,192 draws, an exact test holds the strata's own
+    # small orbits and one sub-grid's per-draw vectors, whatever the orbit.
+    peaks = []
+    for sizes in ((4, 4, 4), (5, 4, 4, 2)):
+        data = interleaved_trial(12, sizes)
+        tracemalloc.start()
+        try:
+            result = METHODS["freedman_lane"](data, exact_plan(data))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.p_value.draws == math.prod(math.factorial(n) for n in sizes)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
 
 def test_exact_memory_is_set_by_the_orbit_not_its_units():
     # 7 + 5 units: 604,800 within-stratum permutations.  Their (orbit, units)
     # index matrix alone is 12 x orbit x 8 bytes; scoring the orbit stratum
-    # by stratum keeps only a few orbit-length vectors.
+    # by stratum, in sub-grids, keeps a few vectors of one sub-grid's draws.
     rng = np.random.default_rng(71)
     strata = np.repeat([0, 1], (7, 5))
     z = np.array([1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0], dtype=np.int8)

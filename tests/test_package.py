@@ -36,3 +36,26 @@ def test_references_import_nothing_from_the_package(script):
             imported.append(node.module or "")
     assert imported
     assert [name for name in imported if name.split(".")[0] == "stratperm"] == []
+
+
+TESTS = pathlib.Path(__file__).parent
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module binds by a module-level import and never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read and name != "annotations"]
+
+
+def test_the_import_check_finds_an_unused_name():
+    assert _unused_imports("import os\nfrom math import pi, tau as t\nprint(os.sep, t)") == ["pi"]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_test_modules_use_every_name_they_import(path):
+    assert _unused_imports(path.read_text()) == []

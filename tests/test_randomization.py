@@ -6,11 +6,13 @@ keep false alarms effectively impossible at the fixed seeds.
 """
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratperm import randomization
 from stratperm.hypothesis_tests import METHODS, TrialData
 from stratperm.randomization import (
     PermutationPlan,
@@ -18,6 +20,7 @@ from stratperm.randomization import (
     StratumLayout,
     _exceedances,
     _pvalue,
+    _subgrids,
     count_assignments,
     count_within_stratum_permutations,
     derive_seed,
@@ -117,6 +120,30 @@ def test_per_stratum_enumerators_follow_itertools_order():
         perms = enumerate_within_stratum_permutations(n)
         assert perms.dtype == np.intp
         assert [tuple(r) for r in perms] == list(itertools.permutations(range(n)))
+
+
+def _traced_peak(build):
+    """``build()`` and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_enumerators_build_no_python_rows():
+    # The rows are written straight into their array: a list of Python
+    # tuples would take several times the array's size on the way.
+    perms, peak = _traced_peak(lambda: enumerate_within_stratum_permutations(8))
+    assert perms.shape == (40_320, 8)
+    assert peak < 1.25 * perms.nbytes, peak / perms.nbytes
+    # An assignment matrix is made from the index matrix of its treated units.
+    rows, peak = _traced_peak(lambda: enumerate_assignments(16, 8))
+    chosen = rows.shape[0] * 8 * np.dtype(np.intp).itemsize
+    assert rows.shape == (12_870, 16)
+    assert peak < 1.25 * (rows.nbytes + chosen), peak / (rows.nbytes + chosen)
 
 
 def test_enumerate_assignments_matches_itertools_oracle():
@@ -286,7 +313,7 @@ def _stacked(blocks, n_strata, k):
 
 
 @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
-def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
+def test_orbit_blocks_are_the_columns_of_the_full_draws(mode, monkeypatch):
     plan = PermutationPlan(layout=INTERLEAVED, mode=mode, draws=2500, master_seed=8)
     positions = INTERLEAVED.stratum_positions()
     blocks = _read(orbit_blocks(plan))
@@ -294,23 +321,43 @@ def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
         # Strata in order, each stratum's chunks in row order.
         assert [j for j, *_ in block] == sorted(j for j, *_ in block)
         for j, lo, treated, units in block:
-            assert np.all(np.sort(units, axis=1) == positions[j])
+            assert units is None or np.all(np.sort(units, axis=1) == positions[j])
     if mode == "exact":
-        # One crossed block of one chunk per stratum: each stratum's orbit
-        # once, from the per-stratum enumerators.  Draw r combines the
-        # strata's rows in C order, earlier strata slowest, which is the
-        # reference enumeration's order.
-        (block,) = blocks
-        assert [(j, lo) for j, lo, _, _ in block] == [(0, 0), (1, 0), (2, 0)]
-        for (j, _, treated, units), n, t in zip(block, INTERLEAVED.sizes, INTERLEAVED.treated):
-            np.testing.assert_array_equal(treated, enumerate_assignments(n, t))
+        # One crossed block per kind, assignments first, of one chunk per
+        # stratum: each stratum's orbit once, from the per-stratum
+        # enumerators.  Draw r combines the strata's rows in C order,
+        # earlier strata slowest, which is the reference enumeration's order.
+        assignments, permutations = blocks
+        assert [(j, lo, u) for j, lo, _, u in assignments] == [(0, 0, None), (1, 0, None),
+                                                               (2, 0, None)]
+        assert [(j, lo, t) for j, lo, t, _ in permutations] == [(0, 0, None), (1, 0, None),
+                                                                (2, 0, None)]
+        for j, n, t in zip(range(3), INTERLEAVED.sizes, INTERLEAVED.treated):
+            np.testing.assert_array_equal(assignments[j][2], enumerate_assignments(n, t))
             np.testing.assert_array_equal(
-                units, positions[j][enumerate_within_stratum_permutations(n)])
-        for full, k in ((all_assignments(INTERLEAVED) == 1, 2),
-                        (all_within_stratum_permutations(INTERLEAVED), 3)):
-            at = np.unravel_index(np.arange(full.shape[0]), [c[k].shape[0] for c in block])
-            for pos, chunk, rows in zip(positions, block, at):
-                np.testing.assert_array_equal(full[:, pos], chunk[k][rows])
+                permutations[j][3], positions[j][enumerate_within_stratum_permutations(n)])
+        # Per kind, the sub-grids the battery scores, stacked in order, are
+        # the whole orbit, and none holds more than the bound: one sub-grid
+        # at the default bound, 6 and 48 at a bound of 7.
+        for bound, cuts in ((randomization._EXACT_BLOCK_DRAWS, (1, 1)), (7, (6, 48))):
+            monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", bound)
+            for full, block, k, count in ((all_assignments(INTERLEAVED) == 1, assignments, 2,
+                                           cuts[0]),
+                                          (all_within_stratum_permutations(INTERLEAVED),
+                                           permutations, 3, cuts[1])):
+                strata = [c[k] for c in block]
+                grids = list(_subgrids([rows.shape[0] for rows in strata]))
+                assert len(grids) == count
+                stacked = [[] for _ in strata]
+                for grid in grids:
+                    parts = [rows[g] for rows, g in zip(strata, grid)]
+                    at = np.unravel_index(np.arange(math.prod(p.shape[0] for p in parts)),
+                                          [p.shape[0] for p in parts])
+                    assert at[0].size <= bound
+                    for out, part, rows in zip(stacked, parts, at):
+                        out.append(part[rows])
+                for pos, out in zip(positions, stacked):
+                    np.testing.assert_array_equal(full[:, pos], np.concatenate(out))
         return
     z = sample_assignments(INTERLEAVED, plan.stream(), 2500)
     perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 2500)
@@ -321,6 +368,23 @@ def test_orbit_blocks_are_the_columns_of_the_full_draws(mode):
     for pos, treated, units in zip(positions, _stacked(blocks, 3, 2), _stacked(blocks, 3, 3)):
         np.testing.assert_array_equal(treated, z[:, pos] == 1)
         np.testing.assert_array_equal(units, perms[:, pos])
+
+
+@pytest.mark.parametrize("counts,bound,sizes", [
+    # perfbench's exact assignment orbit: stratum 0 in runs of 8,192 // 420.
+    ((70, 70, 6), 1 << 13, [19 * 420] * 3 + [13 * 420]),
+    ((3, 5, 4), 7, [4] * 15),
+    ((3, 5, 4), 1, [1] * 60),
+    ((3, 5, 4), 20, [20] * 3),
+    ((3, 5, 4), 64, [60]),
+    ((9, 4), 8, [8] * 4 + [4]),
+])
+def test_subgrids_are_contiguous_runs_of_the_orbit(counts, bound, sizes, monkeypatch):
+    monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", bound)
+    draws = np.arange(math.prod(counts)).reshape(counts)
+    runs = [draws[grid].ravel() for grid in _subgrids(counts)]
+    assert [run.size for run in runs] == sizes
+    np.testing.assert_array_equal(np.concatenate(runs), draws.ravel())
 
 
 def test_chunked_draws_equal_the_reference(monkeypatch):

@@ -11,7 +11,6 @@ from stratperm.cli import main
 from stratperm.hypothesis_tests import METHODS, run_trial
 from stratperm.randomization import PermutationPlan
 from stratperm.reporting import (
-    AnalysisReport,
     TrialDataError,
     TrialDataset,
     baseline_outcome_correlation,

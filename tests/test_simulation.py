@@ -11,11 +11,10 @@ import pytest
 
 from stratperm.cli import main
 from stratperm.hypothesis_tests import METHODS, run_trial, tally_battery
-from stratperm.randomization import PermutationPlan, StratumLayout, derive_stream
+from stratperm.randomization import StratumLayout, derive_stream
 from stratperm.reporting import TrialDataset, write_trial_csv
 from stratperm.simulation import (
     DEFAULT_TESTS,
-    ERROR_DISTS,
     FAMILIES,
     LATENTS,
     Population,
