@@ -23,11 +23,13 @@ nothing of size (draws x units) lives past one chunk, and beyond one block
 only the null statistics are kept.  An exact orbit is one crossed block per
 kind, each stratum's orbit listed once as one chunk: its per-stratum products
 are (orbit_j, columns), multiplied once, and the grid of their combinations
-is scored in contiguous sub-grids of at most 8,192 draws, each a crossed
-block of slices of those products, added stratum after stratum in the order
-a Monte-Carlo block adds its aligned rows.  Every null statistic is thus the
-one the whole grid would give, and exact memory is O(8,192 x columns) beyond
-the strata's own orbits, whatever the orbit's size.
+is scored in contiguous sub-grids of at most 8,192 draws (:func:`_subgrids`).
+A block lays each stratum's products along its grid of draws, one axis for
+a Monte-Carlo block and one per stratum for a sub-grid, whose products are
+slices of the whole strata's, and adds them stratum after stratum by
+broadcasting.  Every exact null statistic is thus the one the whole grid
+would give, and exact memory is O(8,192 x columns) beyond the strata's own
+orbits, whatever the orbit's size.
 
 One loop walks the orbit and counts each test's exceedances block by
 block; only the exchangeability diagnostic keeps its null statistics, for
@@ -46,9 +48,10 @@ squares c - (u.v)^2, where c is its centred sum of squares, which
 permutation within strata leaves unchanged, and its cross product with the
 projected fixed side is one dot product.  A draw whose difference keeps
 less than ``_CANCELLED`` of c may have lost its digits to cancellation and
-is projected explicitly, from its rows read again by replaying its block (an
-exact block's draws decoded into their strata's rows), so singular draws
-still score 0.
+is projected explicitly, from its rows read again by replaying its block (a
+sub-grid's replay gives each stratum's rows of its draws in order, as a
+Monte-Carlo block's does), row by row, so singular draws still score 0 and
+no draw depends on which others are projected with it.
 
 Rank checks compare a column with its own norm, so they do not depend on
 the data's units.  The test suite checks the engine against full refits, a
@@ -57,6 +60,7 @@ pivoted-QR reference fit and an explicit-projection oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -72,7 +76,6 @@ from .randomization import (
     StratumLayout,
     _exceedances,
     _pvalue,
-    _subgrids,
     orbit_blocks,
 )
 
@@ -258,6 +261,9 @@ def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
 # residuals or the outcomes reordered by its within-stratum permutations.
 _ASSIGNMENTS, _RESIDUALS, _OUTCOMES = "assignments", "residuals", "outcomes"
 
+# An exact orbit is scored in contiguous sub-grids of at most this many draws.
+_EXACT_BLOCK_DRAWS = 1 << 13
+
 # A draw whose projected sum of squares keeps less than this share of its
 # centred sum of squares is projected explicitly (see the module docstring).
 _CANCELLED = 1e-3
@@ -330,12 +336,14 @@ class _Battery:
         return out
 
     def _project(self, v, with_x: bool = True) -> np.ndarray:
-        """v, or each row of v, with the stratum dummies projected out
-        (centred within strata) and, if ``with_x``, the baseline too."""
+        """Each row of v with the stratum dummies projected out (centred
+        within strata) and, if ``with_x``, the baseline too.  Products are
+        taken row by row (``einsum``): a BLAS product may round a row
+        differently when other rows share the call."""
         out = self._centre(v)
         if with_x:
             u = self.column("u")
-            out -= np.multiply.outer(out @ u, u)
+            out -= np.multiply.outer(np.einsum("ij,j->i", out, u), u)
         return out
 
     def column(self, name: str) -> np.ndarray:
@@ -405,12 +413,39 @@ class _Battery:
                 for rows, names in self.needs.items()}
 
 
+def _subgrids(counts):
+    """The C-order grid of an exact orbit whose strata have ``counts`` rows,
+    cut into contiguous sub-grids of at most ``_EXACT_BLOCK_DRAWS`` draws:
+    yields one slice of rows per stratum.
+
+    Walking back from the last stratum, the strata whose row counts multiply
+    to at most the bound (their product is ``tail``) are taken whole; the
+    stratum before them, s, is cut into runs of max(1, bound // tail) rows,
+    and every stratum before s is fixed one row at a time.  Each sub-grid is
+    therefore a contiguous range of the orbit's draws, in order.
+    """
+    s, tail = len(counts), 1
+    while s and tail * counts[s - 1] <= _EXACT_BLOCK_DRAWS:
+        s -= 1
+        tail *= counts[s]
+    if not s:
+        yield (slice(None),) * len(counts)
+        return
+    s -= 1
+    step = max(1, _EXACT_BLOCK_DRAWS // tail)
+    whole = (slice(None),) * (len(counts) - s - 1)
+    for head in itertools.product(*map(range, counts[:s])):
+        fixed = tuple(slice(r, r + 1) for r in head)
+        for lo in range(0, counts[s], step):
+            yield fixed + (slice(lo, lo + step),) + whole
+
+
 def _blocks(plan: PermutationPlan, batteries):
     """The plan's orbit, one block of draws at a time: per block, one
     :class:`_Block` per battery, all cut from the same draws.  Each chunk of
     draws is multiplied in for every battery as it is read, and not kept.
     An exact orbit's crossed block is multiplied in whole and yielded as its
-    sub-grids (see :func:`~stratperm.randomization._subgrids`)."""
+    sub-grids (see :func:`_subgrids`), each replayed as aligned rows."""
     rows = set().union(*(battery.needs for battery in batteries))
     for chunks, replay in orbit_blocks(plan, assignments=_ASSIGNMENTS in rows,
                                        permutations=bool(rows - {_ASSIGNMENTS})):
@@ -425,41 +460,35 @@ def _blocks(plan: PermutationPlan, batteries):
         # One chunk per stratum, listing the stratum's whole orbit.
         counts = [(u if t is None else t).shape[0] for _, _, t, u in replay()]
         for grid in _subgrids(counts):
-            def sub_replay(replay=replay, grid=grid):
-                return ((j, 0, None if t is None else t[g], None if u is None else u[g])
-                        for (j, _, t, u), g in zip(replay(), grid))
+            def sub_replay(replay=replay, grid=grid, counts=counts):
+                at = np.meshgrid(*(np.arange(n)[g] for n, g in zip(counts, grid)), indexing="ij")
+                return ((j, 0, None if t is None else t[a.ravel()],
+                         None if u is None else u[a.ravel()])
+                        for (j, _, t, u), a in zip(replay(), at))
 
             yield [block.cut(grid, sub_replay) for block in blocks]
-
-
-def _on_grid(terms) -> list:
-    """Each stratum's terms as a view on the grid of a crossed orbit: stratum
-    j's rows along axis j, any columns last.  Draw r of the orbit is the grid
-    point at r in C order, earlier strata slowest."""
-    last = len(terms) - 1
-    return [term.reshape((1,) * j + term.shape[:1] + (1,) * (last - j) + term.shape[1:])
-            for j, term in enumerate(terms)]
 
 
 class _Block:
     """One block of draws and its products with the columns the tests need:
     one matrix product per stratum, kind of row and chunk of draws.
 
-    A Monte-Carlo block is aligned: row b of every stratum's products belongs
-    to draw b, and it holds every kind of row the tests need.  An exact block
-    is crossed and holds one kind: each stratum's products list a slice of
-    that stratum's orbit (:meth:`cut` from the whole orbit's products), and
-    the draws are every combination of their rows (:func:`_on_grid`), so
-    per-draw totals are broadcast sums of per-stratum terms, added stratum
-    after stratum as in the aligned case.  The draws themselves are not
-    kept: ``replay()`` reads the block's chunks again (see
+    Each stratum's products lie along the block's grid of draws, columns
+    last, and per-draw totals are their broadcast sums, added stratum after
+    stratum.  A Monte-Carlo block's grid has one axis: row b of every
+    stratum's products belongs to draw b, and the block holds every kind of
+    row the tests need.  An exact sub-grid (:meth:`cut`) holds one kind and
+    has one axis per stratum: stratum j's rows lie along axis j, and draw r
+    is the grid point at r in C order, earlier strata slowest.  The draws
+    themselves are not kept: ``replay()`` reads the block's chunks again,
+    each stratum's rows of the block's draws in order (see
     :func:`~stratperm.randomization.orbit_blocks`).
     """
 
-    def __init__(self, battery: _Battery, replay):
+    def __init__(self, battery: _Battery, replay, dims: int = 1):
         self.battery = battery
         self.replay = replay
-        self.crossed = battery.plan.mode == "exact"
+        self.dims = dims
         self._chunks = {rows: [[] for _ in battery.positions] for rows in battery.needs}
 
     def add(self, j: int, treated, units) -> None:
@@ -475,14 +504,16 @@ class _Block:
             chunks[j].append(drawn @ battery.stratum_columns[rows][j])
 
     def cut(self, grid, replay) -> "_Block":
-        """The sub-grid of this crossed block that takes rows ``grid[j]`` of
-        stratum j, its draws read again by ``replay()``: its products are
-        slices of this block's, so each draw's are the whole grid's."""
-        sub = _Block(self.battery, replay)
+        """The sub-grid of this exact block, one chunk per stratum, that
+        takes rows ``grid[j]`` of stratum j, its draws read again by
+        ``replay()``: its products are slices of this block's, laid on the
+        sub-grid's axes, so each draw's are the whole grid's."""
+        sub = _Block(self.battery, replay, len(grid))
         for rows, chunks in self._chunks.items():
             if chunks[0]:
-                for part, (product,), g in zip(sub._chunks[rows], chunks, grid):
-                    part.append(product[g])
+                for j, (part, (product,), g) in enumerate(zip(sub._chunks[rows], chunks, grid)):
+                    part.append(product[g].reshape(
+                        (1,) * j + (-1,) + (1,) * (len(grid) - 1 - j) + product.shape[1:]))
         return sub
 
     def holds(self, method: str) -> bool:
@@ -492,8 +523,8 @@ class _Block:
 
     @cached_property
     def products(self) -> dict:
-        """Per kind of row: the column names, each stratum's (rows, columns)
-        products and their per-draw totals."""
+        """Per kind of row: the column names, each stratum's products and
+        their per-draw totals."""
         out = {}
         for rows, names in self.battery.needs.items():
             if self._chunks[rows][0]:
@@ -504,20 +535,17 @@ class _Block:
 
     def combine(self, terms) -> np.ndarray:
         """Per-stratum terms summed over the strata, one sum per draw."""
-        if not self.crossed:
-            return sum(terms)
-        return sum(_on_grid(terms)).reshape((-1,) + terms[0].shape[1:])
+        total = sum(terms)
+        return total.reshape((-1,) + total.shape[self.dims:])
 
     def expand(self, terms) -> np.ndarray:
         """Per-stratum vectors as a (draws, strata) matrix: column j holds
         stratum j's term at each draw."""
-        if not self.crossed:
-            return np.column_stack(terms)
-        return np.stack(np.broadcast_arrays(*_on_grid(terms)), axis=-1).reshape(-1, len(terms))
+        return np.stack(np.broadcast_arrays(*terms), axis=-1).reshape(-1, len(terms))
 
     def per_stratum(self, rows: str, column: str) -> list:
         names, per, _ = self.products[rows]
-        return [p[:, names.index(column)] for p in per]
+        return [p[..., names.index(column)] for p in per]
 
     def total(self, rows: str, column: str) -> np.ndarray:
         names, _, total = self.products[rows]
@@ -529,13 +557,10 @@ class _Block:
         battery = self.battery
         out = np.empty((len(draws), battery.data.n_units))
         values = battery.values(rows)
-        _, per, _ = self.products[rows]
-        at = (np.unravel_index(draws, [p.shape[0] for p in per]) if self.crossed
-              else [draws] * len(per))
         for j, lo, treated, units in self.replay():
             picked = treated if rows == _ASSIGNMENTS else units
-            hit = np.nonzero((at[j] >= lo) & (at[j] < lo + picked.shape[0]))[0]
-            chosen = picked[at[j][hit] - lo]
+            hit = np.nonzero((draws >= lo) & (draws < lo + picked.shape[0]))[0]
+            chosen = picked[draws[hit] - lo]
             out[hit[:, None], battery.positions[j]] = (
                 chosen if rows == _ASSIGNMENTS else values[chosen])
         return out
@@ -554,7 +579,7 @@ class _Block:
         if redo.size:
             v = battery._project(self._rows(rows, redo), with_x)
             ss[redo] = np.einsum("ij,ij->i", v, v)
-            dot[redo] = v @ battery.column(fixed)
+            dot[redo] = np.einsum("ij,j->i", v, battery.column(fixed))
         return dot, ss
 
 

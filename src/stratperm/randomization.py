@@ -28,9 +28,8 @@ once, on its own, by the per-stratum enumerators
 (:func:`enumerate_assignments`, :func:`enumerate_within_stratum_permutations`,
 in lexicographic order), with draw r the C-order combination of the strata's
 rows (earlier strata slowest), so the (orbit, units) matrices are never
-built.  :func:`_subgrids` cuts that grid into contiguous sub-grids of at most
-8,192 draws, which is how the battery scores it, so the battery's memory is
-O(sum of stratum orbits x units + 8,192 x columns), not O(orbit x columns).
+built.  How much of that grid is scored at once is the test battery's
+decision (:mod:`stratperm.hypothesis_tests`).
 
 Randomness is derived, never passed around as global state: a master seed and
 an index tuple give an independent stream via ``SeedSequence`` spawn keys, so
@@ -75,9 +74,6 @@ _BLOCK_DRAWS = 1024
 # Each stratum's part of a Monte-Carlo block is drawn in row chunks of at most
 # this many unit positions (one row at least).
 _CHUNK_UNITS = 1 << 16
-
-# An exact orbit is scored in contiguous sub-grids of at most this many draws.
-_EXACT_BLOCK_DRAWS = 1 << 13
 
 # How a Monte-Carlo orbit is drawn, as recorded in report and simulation
 # provenance.
@@ -337,8 +333,7 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
     different sizes, so each is walked on its own.  Draw r of an orbit
     combines row r_j of every stratum, where (r_1, ..., r_J) is r unravelled
     in C order over those row counts (earlier strata slowest); no (orbit,
-    units) matrix is built, and :func:`_subgrids` cuts the grid into
-    contiguous sub-grids of at most 8,192 draws.
+    units) matrix is built.
     """
     layout = plan.layout
     positions = layout.stratum_positions()
@@ -365,33 +360,6 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
         block = [(j, 0, None, pos[enumerate_within_stratum_permutations(n)])
                  for j, (pos, n, _) in strata]
         yield iter(block), lambda block=block: iter(block)
-
-
-def _subgrids(counts):
-    """The C-order grid of an exact orbit whose strata have ``counts`` rows,
-    cut into contiguous sub-grids of at most ``_EXACT_BLOCK_DRAWS`` draws:
-    yields one slice of rows per stratum.
-
-    Walking back from the last stratum, the strata whose row counts multiply
-    to at most the bound (their product is ``tail``) are taken whole; the
-    stratum before them, s, is cut into runs of max(1, bound // tail) rows,
-    and every stratum before s is fixed one row at a time.  Each sub-grid is
-    therefore a contiguous range of the orbit's draws, in order.
-    """
-    s, tail = len(counts), 1
-    while s and tail * counts[s - 1] <= _EXACT_BLOCK_DRAWS:
-        s -= 1
-        tail *= counts[s]
-    if not s:
-        yield (slice(None),) * len(counts)
-        return
-    s -= 1
-    step = max(1, _EXACT_BLOCK_DRAWS // tail)
-    whole = (slice(None),) * (len(counts) - s - 1)
-    for head in itertools.product(*map(range, counts[:s])):
-        fixed = tuple(slice(r, r + 1) for r in head)
-        for lo in range(0, counts[s], step):
-            yield fixed + (slice(lo, lo + step),) + whole
 
 
 def _exceedances(observed: float, draws: np.ndarray, tail: str,

@@ -124,7 +124,8 @@ class TrialDataset:
         control_label: str = "control",
         treated_label: str = "treated",
     ) -> "TrialDataset":
-        """Assemble a dataset from arrays (one baseline/outcome per endpoint)."""
+        """Assemble a dataset from arrays (one baseline/outcome per endpoint).
+        An endpoint's invalid data is a TrialDataError that names it."""
         if set(baselines) != set(outcomes):
             raise TrialDataError("baseline and outcome endpoint names differ")
         n = len(np.asarray(strata))
@@ -134,15 +135,33 @@ class TrialDataset:
             raise TrialDataError(f"need {n} distinct, non-empty subject ids")
         endpoints = {}
         for name in baselines:
-            endpoints[name] = TrialData.from_arrays(
-                strata, z, baselines[name], outcomes[name]
-            )
+            try:
+                endpoints[name] = TrialData.from_arrays(
+                    strata, z, baselines[name], outcomes[name]
+                )
+            except ValueError as err:
+                raise TrialDataError(f"endpoint {name!r}: {err}") from err
         return cls(
             endpoints=endpoints,
             subjects=subjects,
             control_label=control_label,
             treated_label=treated_label,
         )
+
+
+def _records(blob: bytes, path):
+    """Each record of the CSV file ``blob`` with the file line it starts on
+    (a quoted field may hold line breaks), decoded as it is read so that no
+    decoded copy of the file is held.  A record the csv module cannot read
+    is a TrialDataError."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline=""))
+    start = 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as err:
+        raise TrialDataError(f"{path}: line {start}: {err}") from err
 
 
 def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
@@ -158,17 +177,11 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
         raise TrialDataError(f"cannot read {path}: {err}") from err
     digest = hashlib.sha256(blob).hexdigest()
 
-    # Each record with the file line it starts on; a quoted field may hold
-    # line breaks, so records and lines need not be one to one.  The text is
-    # decoded as it is read, so no decoded copy of the whole file is held.
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline=""))
-    rows, start = [], 1
-    for row in reader:
-        rows.append((start, row))
-        start = reader.line_num + 1
-    if not rows:
+    records = _records(blob, path)
+    first = next(records, None)
+    if first is None:
         raise TrialDataError(f"{path}: file is empty")
-    header = [h.strip(_BLANKS) for h in rows[0][1]]
+    header = [h.strip(_BLANKS) for h in first[1]]
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise TrialDataError(f"{path}: repeated columns {repeated}")
@@ -203,7 +216,7 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
     subjects, strata, treatments = [], [], []
     values = {c: [] for c in header if c not in _ID_COLUMNS}
     bad_cells, bad_ids, first_line = [], [], {}
-    for line_no, row in rows[1:]:
+    for line_no, row in records:
         if not row or all(not cell.strip(_BLANKS) for cell in row):
             continue
         if len(row) != len(header):
@@ -256,23 +269,16 @@ def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:
         treated = labels[0] if labels[1] == control else labels[1]
     z = np.asarray([0 if t == control else 1 for t in treatments], dtype=np.int8)
 
-    endpoints = {}
-    for name in endpoint_order:
-        x = np.asarray(values[_BASELINE_PREFIX + name])
-        y = np.asarray(values[_OUTCOME_PREFIX + name])
-        try:
-            endpoints[name] = TrialData.from_arrays(strata, z, x, y)
-        except ValueError as err:
-            raise TrialDataError(f"{path}: endpoint {name!r}: {err}") from err
-
-    return TrialDataset(
-        endpoints=endpoints,
-        subjects=tuple(subjects),
-        control_label=control,
-        treated_label=treated,
-        source_digest=digest,
-        source_path=str(path),
-    )
+    try:
+        dataset = TrialDataset.build(
+            strata, z,
+            {name: values[_BASELINE_PREFIX + name] for name in endpoint_order},
+            {name: values[_OUTCOME_PREFIX + name] for name in endpoint_order},
+            subjects, control, treated,
+        )
+    except TrialDataError as err:
+        raise TrialDataError(f"{path}: {err}") from err
+    return dataclasses.replace(dataset, source_digest=digest, source_path=str(path))
 
 
 def write_trial_csv(dataset: TrialDataset, path) -> None:

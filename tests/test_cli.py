@@ -158,6 +158,21 @@ def test_analyze_rejects_empty_and_repeated_subject_ids(tmp_path, capsys):
     assert "line 4 ('P1', as on line 2)" in err and "line 7 (empty)" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "diagnose"])
+def test_a_field_over_the_csv_limit_exits_2(tmp_path, capsys, command):
+    # The csv module refuses fields over 131,072 characters.  The long
+    # stratum label is on the record that starts on line 4, after a record
+    # whose quoted subject id spans lines 2 and 3.
+    path = tmp_path / "trial.csv"
+    path.write_text("subject,stratum,treatment,baseline_pain,outcome_pain\n"
+                    '"P1\nx",a,treated,1.0,2.0\n'
+                    f"P2,{'b' * 200_000},control,2.0,1.5\n")
+    code = main([command, "--input", str(path), "--permutations", "99"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 4: field larger than field limit")
+
+
 def test_analyze_unknown_method_exits_2(trial_csv, capsys):
     code = main(
         ["analyze", "--input", str(trial_csv), "--methods", "ancova,anova"]

@@ -8,6 +8,7 @@ shortcuts in the implementation must agree with those full refits exactly
 explicit-projection oracle that builds each test's whole (draws, units)
 matrix, and a battery call against the separate test calls.
 """
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratperm import hypothesis_tests, randomization
+from stratperm import hypothesis_tests
 from stratperm.hypothesis_tests import (
     METHODS,
     TrialData,
@@ -827,6 +828,8 @@ def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
     # Each sub-grid's draws, mapped to the orbit's through its slices of the
     # strata's rows.
     cut = hypothesis_tests._Block.cut
+    grid_of_orbit = np.arange(perms.shape[0]).reshape(
+        [math.factorial(n) for n in data.layout.sizes])
 
     def cut_spy(block, grid, replay):
         sub = cut(block, grid, replay)
@@ -835,13 +838,10 @@ def test_exact_freedman_lane_reprojects_the_orbits_own_rows(monkeypatch):
 
     def rows_spy(block, rows, draws):
         out = rows_of(block, rows, draws)
-        local = np.unravel_index(draws, [p.shape[0] for p in block.products[rows][1]])
-        orbit = np.ravel_multi_index([at + (g.start or 0) for at, g in zip(local, block.grid)],
-                                     [math.factorial(n) for n in data.layout.sizes])
-        seen.append((rows, orbit, out))
+        seen.append((rows, grid_of_orbit[block.grid].ravel()[draws], out))
         return out
 
-    monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", 64)
+    monkeypatch.setattr(hypothesis_tests, "_EXACT_BLOCK_DRAWS", 64)
     monkeypatch.setattr(hypothesis_tests._Block, "cut", cut_spy)
     monkeypatch.setattr(hypothesis_tests._Block, "_rows", rows_spy)
     seen.clear()
@@ -868,7 +868,9 @@ def test_exact_results_do_not_depend_on_the_subgrids(bound, monkeypatch):
     # of its strata's whole products, so its null statistics are the ones
     # the whole grid gives, bit for bit, and so is every result: on a
     # contiguous, an interleaved and a 3-stratum layout, for every exact
-    # test alone and for all of them on two endpoints at once.
+    # test alone and for all of them on two endpoints at once.  With
+    # _CANCELLED at 1 every regression draw is projected explicitly, row by
+    # row, so it too must not depend on which draws share its sub-grid.
     score = hypothesis_tests._Scored.score
 
     def spy(scored, block):
@@ -878,13 +880,15 @@ def test_exact_results_do_not_depend_on_the_subgrids(bound, monkeypatch):
 
     monkeypatch.setattr(hypothesis_tests._Scored, "score", spy)
     names = list(METHODS) + ["exchangeability"]
-    default = randomization._EXACT_BLOCK_DRAWS
-    for data in (small_trial(), interleaved_trial(6, (3, 4, 2)), interleaved_trial(7, (3, 3, 4))):
+    default = hypothesis_tests._EXACT_BLOCK_DRAWS
+    trials = [small_trial(), interleaved_trial(6, (3, 4, 2)), interleaved_trial(7, (3, 3, 4))]
+    for cancelled, data in itertools.product((hypothesis_tests._CANCELLED, 1.0), trials):
+        monkeypatch.setattr(hypothesis_tests, "_CANCELLED", cancelled)
         plan = exact_plan(data)
         other = TrialData.from_arrays(data.strata, data.z, data.x, data.y * data.x + data.z)
         runs = {}
         for cut in (default, bound):
-            monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", cut)
+            monkeypatch.setattr(hypothesis_tests, "_EXACT_BLOCK_DRAWS", cut)
             nulls = {}
             both = _exact_fields([data, other], plan, names)
             alone = [_exact_fields([data], plan, [name])[0][name] for name in names]

@@ -39,6 +39,7 @@ def test_references_import_nothing_from_the_package(script):
 
 
 TESTS = pathlib.Path(__file__).parent
+PACKAGE = pathlib.Path(stratperm.__file__).parent
 
 
 def _unused_imports(source: str) -> list:
@@ -58,4 +59,9 @@ def test_the_import_check_finds_an_unused_name():
 
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_test_modules_use_every_name_they_import(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_use_every_name_they_import(path):
     assert _unused_imports(path.read_text()) == []

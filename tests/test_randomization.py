@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratperm import randomization
-from stratperm.hypothesis_tests import METHODS, TrialData
+from stratperm import hypothesis_tests
+from stratperm.hypothesis_tests import METHODS, TrialData, _subgrids
 from stratperm.randomization import (
     PermutationPlan,
     PValue,
     StratumLayout,
     _exceedances,
     _pvalue,
-    _subgrids,
     count_assignments,
     count_within_stratum_permutations,
     derive_seed,
@@ -339,8 +338,8 @@ def test_orbit_blocks_are_the_columns_of_the_full_draws(mode, monkeypatch):
         # Per kind, the sub-grids the battery scores, stacked in order, are
         # the whole orbit, and none holds more than the bound: one sub-grid
         # at the default bound, 6 and 48 at a bound of 7.
-        for bound, cuts in ((randomization._EXACT_BLOCK_DRAWS, (1, 1)), (7, (6, 48))):
-            monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", bound)
+        for bound, cuts in ((hypothesis_tests._EXACT_BLOCK_DRAWS, (1, 1)), (7, (6, 48))):
+            monkeypatch.setattr(hypothesis_tests, "_EXACT_BLOCK_DRAWS", bound)
             for full, block, k, count in ((all_assignments(INTERLEAVED) == 1, assignments, 2,
                                            cuts[0]),
                                           (all_within_stratum_permutations(INTERLEAVED),
@@ -380,7 +379,7 @@ def test_orbit_blocks_are_the_columns_of_the_full_draws(mode, monkeypatch):
     ((9, 4), 8, [8] * 4 + [4]),
 ])
 def test_subgrids_are_contiguous_runs_of_the_orbit(counts, bound, sizes, monkeypatch):
-    monkeypatch.setattr(randomization, "_EXACT_BLOCK_DRAWS", bound)
+    monkeypatch.setattr(hypothesis_tests, "_EXACT_BLOCK_DRAWS", bound)
     draws = np.arange(math.prod(counts)).reshape(counts)
     runs = [draws[grid].ravel() for grid in _subgrids(counts)]
     assert [run.size for run in runs] == sizes
