@@ -31,11 +31,12 @@ broadcasting.  Every exact null statistic is thus the one the whole grid
 would give, and exact memory is O(8,192 x columns) beyond the strata's own
 orbits, whatever the orbit's size.
 
-One loop walks the orbit and counts each test's exceedances block by
-block; only the exchangeability diagnostic keeps its null statistics, for
-their nonparametric combination.  :func:`run_trial` scores several endpoints
-of one trial in that loop and :data:`METHODS` one test; :func:`tally_battery`
-stops once every decision at a given alpha is fixed, for power studies.
+One loop, :func:`run_trial`, walks the orbit for several endpoints of one
+trial and counts each test's exceedances block by block (with ``stop_at``,
+until each decision at a given alpha is fixed, for power studies); only the
+exchangeability diagnostic keeps its null statistics, for their
+nonparametric combination.  Ties and the add-one rule are decided here too,
+by :func:`_exceedances` and :func:`_pvalue`.
 
 The regression tests' nuisance columns are the stratum dummies and the
 baseline, and every fit is made in closed form (Frisch-Waugh-Lovell).  x, y
@@ -69,26 +70,22 @@ from functools import cached_property
 import numpy as np
 
 from .linear_model import SingularDesignError, student_t_two_sided_p
-from .randomization import (
-    TIE_TOLERANCE,
-    PermutationPlan,
-    PValue,
-    StratumLayout,
-    _exceedances,
-    _pvalue,
-    orbit_blocks,
-)
+from .randomization import PermutationPlan, StratumLayout, orbit_blocks
 
 __all__ = [
     "TrialData",
+    "PValue",
     "TestResult",
     "NpcResult",
     "npc_combine",
     "exchangeability_diagnostic",
     "run_trial",
-    "tally_battery",
     "METHODS",
 ]
+
+# Absolute tie tolerance when comparing permuted statistics to the observed
+# one; draws this close to the observed value count as exceedances.
+TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +149,38 @@ class TrialData:
         return len(self.stratum_labels)
 
 
+@dataclass(frozen=True)
+class PValue:
+    """A p-value plus how it was computed.
+
+    monte_carlo: value = (exceedances + 1) / (draws + 1), observed excluded
+    from the draws.  exact: value = exceedances / draws over the full orbit,
+    observed included (so the value is never 0).  analytic: from a reference
+    distribution; exceedances and draws are 0.
+    """
+
+    value: float
+    exceedances: int
+    draws: int
+    mode: str
+
+    def __post_init__(self):
+        if not 0.0 < self.value <= 1.0:
+            raise ValueError(f"p-value {self.value} outside (0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class TestResult:
     """Outcome of one test: the statistic, its p-value, and diagnostics.
 
-    ``degenerate_draws`` counts permuted fits that were singular or had zero
-    residual variance; their statistics are recorded as 0.  ``per_stratum``
-    holds the exchangeability diagnostic's partial p-values and
-    ``null_summary`` its stratum correlations and combiner; both are None
-    for every other test.
+    ``draws_used`` counts the draws the statistic was scored on: the orbit or
+    the plan's B, fewer only for a test :func:`run_trial` stopped, 0 for
+    ANCOVA.  ``degenerate_draws`` counts permuted fits that were singular or
+    perfect (see :func:`_fwl_t`): a singular or 0/0 fit scores 0, and a
+    perfect one keeps its t, infinite or near it, which counts as an
+    exceedance.  ``per_stratum`` holds the exchangeability diagnostic's
+    partial p-values and ``null_summary`` its stratum correlations and
+    combiner; both are None for every other test.
     """
 
     method: str
@@ -171,6 +191,7 @@ class TestResult:
     null_summary: dict | None = None
     flags: tuple[str, ...] = ()
     degenerate_draws: int = 0
+    draws_used: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +221,35 @@ def _check_names(names, known) -> list:
     if repeated:
         raise ValueError(f"tests named more than once: {repeated}")
     return names
+
+
+def _exceedances(observed: float, draws: np.ndarray, tail: str,
+                 tie_tolerance: float = TIE_TOLERANCE) -> int:
+    """Number of draws at least as extreme as ``observed``: two_sided
+    compares |draw| with |observed|, right compares signed values.  Draws
+    within ``tie_tolerance`` of the observed statistic count as exceedances,
+    so ties are resolved conservatively."""
+    observed = float(observed)
+    if not math.isfinite(observed):
+        raise ValueError("observed statistic must be finite")
+    if tail == "two_sided":
+        return int(np.count_nonzero(np.abs(draws) >= abs(observed) - tie_tolerance))
+    if tail == "right":
+        return int(np.count_nonzero(draws >= observed - tie_tolerance))
+    raise ValueError(f"unknown tail {tail!r}")
+
+
+def _pvalue(k: int, b: int, mode: str) -> PValue:
+    """The p-value of k exceedances among b draws: the add-one rule over a
+    sample of the orbit, k / b over the whole orbit (see :class:`PValue`)."""
+    if mode == "monte_carlo":
+        return PValue(value=(k + 1) / (b + 1), exceedances=k, draws=b, mode=mode)
+    if mode == "exact":
+        if k == 0:
+            raise ValueError("exact mode requires the observed statistic's orbit element "
+                             "among the draws; got zero exceedances")
+        return PValue(value=k / b, exceedances=k, draws=b, mode=mode)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _fit_t(target, resp, df, resp_norm):
@@ -238,9 +288,12 @@ def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
     target_raw_ss squared norm of the unprojected target (sets the scale for
                   declaring a draw singular)
 
-    Each piece is per draw or shared by all draws.  Draws whose target is
-    numerically inside the nuisance span, or whose t is 0/0, score 0 and are
-    counted as degenerate.
+    Each piece is per draw or shared by all draws.  A draw is degenerate
+    when its target is numerically inside the nuisance span or its fit is
+    perfect: a residual sum of squares of at most ``_PERFECT_FIT`` of the
+    response's.  One whose target is in the span, or whose t is 0/0, scores
+    0; any other perfect fit keeps its t, +/-inf or near it, which is as
+    extreme as a draw can be.
     """
     ok = target_ss > 1e-20 * np.maximum(target_raw_ss, 1e-300)
     safe = np.where(ok, target_ss, 1.0)
@@ -249,9 +302,10 @@ def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = gamma * np.sqrt(df * safe / rss)
     bad = ~ok | np.isnan(t)
+    degenerate = int(np.count_nonzero(bad | (rss <= _PERFECT_FIT * resp_ss)))
     if np.any(bad):
         t = np.where(bad, 0.0, t)
-    return t, int(np.count_nonzero(bad))
+    return t, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +328,9 @@ _RANK_RTOL = 1e-10
 # A fit's residual variance is numerically zero when its residual norm is at
 # most this share of the response's norm.
 _RSS_RTOL = 1e-12
+# A null fit is perfect when its residual sum of squares, a difference of
+# squares, is at most this share of the response's: its rounding is then noise.
+_PERFECT_FIT = 1e-12
 
 # Per kind of row, the column holding the vector it re-randomizes or
 # reorders, centred within strata.
@@ -625,9 +682,11 @@ class _Scored:
             p = PValue(value=1.0 if self.flags else student_t_two_sided_p(self.statistic, self.df),
                        exceedances=0, draws=0, mode="analytic")
         else:
-            p = _pvalue(self.k, self.draws, plan.mode)
+            # A Monte-Carlo test stopped early keeps the add-one rule over B.
+            p = _pvalue(self.k, self.draws if plan.mode == "exact" else plan.draws, plan.mode)
         return TestResult(method=self.method, statistic=self.statistic, p_value=p,
-                          df=self.df, flags=self.flags, degenerate_draws=self.degenerate)
+                          df=self.df, flags=self.flags, degenerate_draws=self.degenerate,
+                          draws_used=self.draws)
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +908,7 @@ def _exchangeability(battery: _Battery) -> _Scored:
                 "combiner": npc.combiner,
             },
             flags=tuple(flags),
+            draws_used=npc.p_value.draws,
         )
 
     # The combined statistic needs every draw, so it is left to finish.
@@ -889,71 +949,43 @@ _TESTS = {
 }
 
 
-def _observed_sides(data: TrialData, plan: PermutationPlan, methods):
-    """The battery for ``methods`` and each test's observed side."""
-    battery = _Battery(data, plan, methods)
-    return battery, {m: _TESTS[m][0](battery) for m in methods}
-
-
-def _run(plan: PermutationPlan, runs, stop_at: int | None = None) -> None:
-    """Score the tests of several (battery, tests) pairs on one plan, block
-    by block, in one pass over its orbit.  With ``stop_at``, a test drops out
-    once its k reaches ``stop_at``, and drawing stops once none is left."""
-    live = [(i, s) for i, (_, tests) in enumerate(runs) for s in tests.values()
-            if s.null is not None]
-    orbit = _blocks(plan, [battery for battery, _ in runs])
-    while True:
-        live = [(i, s) for i, s in live if stop_at is None or s.k < stop_at]
-        blocks = next(orbit, None) if live else None
-        if blocks is None:
-            return
-        for i, s in live:
-            if blocks[i].holds(s.method):
-                s.score(blocks[i])
-        del blocks  # release this block before the next is drawn
-
-
-def run_trial(endpoints, plan: PermutationPlan | None, methods) -> list:
+def run_trial(endpoints, plan: PermutationPlan | None, methods,
+              stop_at: int | None = None) -> list:
     """Run the same tests on several endpoints of one trial, drawing the
     orbit once for all of them.
 
     ``endpoints`` are :class:`TrialData` sharing ``plan``'s layout and
     ``methods`` are names from :data:`METHODS` or ``"exchangeability"``,
     each named once.  Returns one ``{method: TestResult}`` per endpoint, in
-    the order of ``methods``: every block of draws is drawn once and scored
-    for every endpoint and test, so all results come from one
-    re-randomization of the trial, and each equals the one the test gives
-    on its own with that plan.  Only ANCOVA runs without a plan.
+    the order of ``methods``: the orbit is walked once, block by block, and
+    each block is scored for every endpoint and test, so all results come
+    from one re-randomization of the trial, and each equals the one the test
+    gives on its own with that plan.  Only ANCOVA runs without a plan.
+
+    ``stop_at``, for power studies, takes a Monte-Carlo plan of B draws and
+    names from :data:`METHODS`.  A test stops counting once its count k
+    reaches ``stop_at``, and drawing stops once every test has.  Its p-value
+    stays (k + 1) / (B + 1), a lower bound on the full-run one, with
+    ``draws_used`` below B; with ``stop_at`` the smallest k whose
+    (k + 1) / (B + 1) is not rejected, it is not rejected, as in a full run.
     """
-    methods = _check_names(methods, _TESTS)
-    runs = [_observed_sides(data, plan, methods) for data in endpoints]
-    _run(plan, runs)
-    return [{m: s.result(plan) for m, s in tests.items()} for _, tests in runs]
-
-
-def tally_battery(data: TrialData, plan: PermutationPlan, methods, stop_at: int) -> dict:
-    """Each test's p-value from as few draws as decide it, for power studies.
-
-    Counts each permutation test's exceedances block by block, as
-    :func:`run_trial` does, and stops counting a test once its count k
-    reaches ``stop_at``; drawing stops when every test has.  ``plan`` is a
-    Monte-Carlo plan of B draws and ``methods`` are names from
-    :data:`METHODS`, each named once.
-
-    Returns ``{method: (p, draws used)}``: p = (k + 1) / (B + 1) for a
-    permutation test and the analytic p, with 0 draws, for ANCOVA.  A test
-    that used all B draws has the p-value :func:`run_trial` gives for the
-    same (data, plan); a test stopped earlier has a lower bound on it.  With
-    ``stop_at`` the smallest k whose (k + 1) / (B + 1) is not rejected, a
-    stopped test is therefore not rejected, as in the full run.
-    """
-    if plan.mode != "monte_carlo":
-        raise ValueError("tally_battery needs a monte_carlo plan")
-    battery, tests = _observed_sides(data, plan, _check_names(methods, METHODS))
-    _run(plan, [(battery, tests)], stop_at)
-    return {m: (_pvalue(s.k, plan.draws, plan.mode).value, s.draws) if s.null is not None
-            else (s.result(plan).p_value.value, 0)
-            for m, s in tests.items()}
+    if stop_at is not None and (plan is None or plan.mode != "monte_carlo"):
+        raise ValueError("stop_at needs a monte_carlo plan")
+    methods = _check_names(methods, _TESTS if stop_at is None else METHODS)
+    batteries = [_Battery(data, plan, methods) for data in endpoints]
+    runs = [{m: _TESTS[m][0](battery) for m in methods} for battery in batteries]
+    live = [(i, s) for i, tests in enumerate(runs) for s in tests.values() if s.null is not None]
+    orbit = _blocks(plan, batteries)
+    while True:
+        live = [(i, s) for i, s in live if stop_at is None or s.k < stop_at]
+        blocks = next(orbit, None) if live else None
+        if blocks is None:
+            break
+        for i, s in live:
+            if blocks[i].holds(s.method):
+                s.score(blocks[i])
+        del blocks  # release this block before the next is drawn
+    return [{m: s.result(plan) for m, s in tests.items()} for tests in runs]
 
 
 def _runner(method: str) -> Callable:

@@ -1,4 +1,4 @@
-"""Stratified re-randomization: counting, enumeration, sampling, p-values.
+"""Stratified re-randomization: counting, enumeration and sampling.
 
 Everything here preserves the per-stratum treated counts (the design's
 randomization scheme).  Two orbits appear, because two kinds of null live in
@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "StratumLayout",
     "PermutationPlan",
-    "PValue",
     "derive_seed",
     "derive_stream",
     "count_assignments",
@@ -63,10 +62,6 @@ __all__ = [
 
 # An exact plan refuses an orbit of more draws than this.
 DEFAULT_ENUMERATION_CAP = 1_000_000
-
-# Absolute tie tolerance when comparing permuted statistics to the observed
-# one; draws this close to the observed value count as exceedances.
-TIE_TOLERANCE = 1e-12
 
 # Monte-Carlo draws are made and scored in blocks of at most this many.
 _BLOCK_DRAWS = 1024
@@ -174,26 +169,6 @@ class PermutationPlan:
 
     def stream(self, *key: int) -> np.random.Generator:
         return derive_stream(self.master_seed, *key)
-
-
-@dataclass(frozen=True)
-class PValue:
-    """A p-value plus how it was computed.
-
-    monte_carlo: value = (exceedances + 1) / (draws + 1), observed excluded
-    from the draws.  exact: value = exceedances / draws over the full orbit,
-    observed included (so the value is never 0).  analytic: from a reference
-    distribution; exceedances and draws are 0.
-    """
-
-    value: float
-    exceedances: int
-    draws: int
-    mode: str
-
-    def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise ValueError(f"p-value {self.value} outside (0, 1]")
 
 
 def count_assignments(layout: StratumLayout) -> int:
@@ -361,33 +336,3 @@ def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
                  for j, (pos, n, _) in strata]
         yield iter(block), lambda block=block: iter(block)
 
-
-def _exceedances(observed: float, draws: np.ndarray, tail: str,
-                 tie_tolerance: float = TIE_TOLERANCE) -> int:
-    """Number of draws at least as extreme as ``observed``: two_sided
-    compares |draw| with |observed|, right compares signed values.  Draws
-    within ``tie_tolerance`` of the observed statistic count as exceedances,
-    so ties are resolved conservatively."""
-    observed = float(observed)
-    if not math.isfinite(observed):
-        raise ValueError("observed statistic must be finite")
-    if tail == "two_sided":
-        return int(np.count_nonzero(np.abs(draws) >= abs(observed) - tie_tolerance))
-    if tail == "right":
-        return int(np.count_nonzero(draws >= observed - tie_tolerance))
-    raise ValueError(f"unknown tail {tail!r}")
-
-
-def _pvalue(k: int, b: int, mode: str) -> PValue:
-    """The p-value of k exceedances among b draws: the add-one rule over a
-    sample of the orbit, k / b over the whole orbit (see :class:`PValue`)."""
-    if mode == "monte_carlo":
-        return PValue(value=(k + 1) / (b + 1), exceedances=k, draws=b, mode=mode)
-    if mode == "exact":
-        if k == 0:
-            raise ValueError(
-                "exact mode requires the observed statistic's orbit element "
-                "among the draws; got zero exceedances"
-            )
-        return PValue(value=k / b, exceedances=k, draws=b, mode=mode)
-    raise ValueError(f"unknown mode {mode!r}")

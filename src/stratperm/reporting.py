@@ -152,8 +152,8 @@ class TrialDataset:
 def _records(blob: bytes, path):
     """Each record of the CSV file ``blob`` with the file line it starts on
     (a quoted field may hold line breaks), decoded as it is read so that no
-    decoded copy of the file is held.  A record the csv module cannot read
-    is a TrialDataError."""
+    decoded copy of the file is held.  A record the csv module cannot read,
+    or a byte that is not UTF-8, is a TrialDataError."""
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline=""))
     start = 1
     try:
@@ -162,6 +162,16 @@ def _records(blob: bytes, path):
             start = reader.line_num + 1
     except csv.Error as err:
         raise TrialDataError(f"{path}: line {start}: {err}") from err
+    except UnicodeDecodeError:
+        # The reader's error counts bytes from the start of a decoder chunk;
+        # decoding the whole file places the byte in it.
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = len((blob[:err.start] + b".").splitlines())
+            raise TrialDataError(f"{path}: line {line}: byte 0x{blob[err.start]:02x} "
+                                 f"is not UTF-8 ({err.reason})") from err
+        raise
 
 
 def load_trial_csv(path, control_label: str | None = None) -> TrialDataset:

@@ -8,8 +8,9 @@ replications are scheduled across worker processes.
 
 A power study needs only whether each p-value is at most alpha, so a
 replication stops drawing once no remaining draw can change any test's
-decision (:func:`~stratperm.hypothesis_tests.tally_battery`; Besag and
-Clifford 1991).  The rejection counts are those of a run over every draw.
+decision (:func:`~stratperm.hypothesis_tests.run_trial` with ``stop_at``;
+Besag and Clifford 1991).  The rejection counts are those of a run over
+every draw.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypothesis_tests import METHODS, TrialData, _check_names, tally_battery
+from .hypothesis_tests import METHODS, TrialData, _check_names, run_trial
 from .randomization import (
     PermutationPlan,
     StratumLayout,
@@ -171,7 +172,9 @@ class PowerEstimate:
 class PowerStudyResult:
     """Every replication's p-values, the draws behind them, and the tallies.
 
-    ``p_values`` and ``draws_used`` are (replications, tests) arrays.  A
+    ``p_values`` and ``draws_used`` are (replications, tests) arrays, the
+    ``p_value.value`` and ``draws_used`` of each replication's
+    :class:`~stratperm.hypothesis_tests.TestResult` per test.  A
     permutation test's p-value is (k + 1) / (B + 1), with k its exceedances
     among the first ``draws_used`` of the B = ``config.permutations`` draws.
     Where ``draws_used`` equals B it is the full-run p-value; where it is
@@ -371,8 +374,9 @@ def _replication_block(args):
     block_ate = np.empty(len(indices))
     for row, index in enumerate(indices):
         data, plan, block_ate[row] = _replication_inputs(config, int(index))
-        tallies = tally_battery(data, plan, config.tests, stop_at)
-        block_p[row], block_draws[row] = zip(*(tallies[name] for name in config.tests))
+        results = run_trial([data], plan, config.tests, stop_at)[0]
+        block_p[row] = [results[name].p_value.value for name in config.tests]
+        block_draws[row] = [results[name].draws_used for name in config.tests]
     return indices, block_p, block_draws, block_ate
 
 

@@ -173,6 +173,22 @@ def test_a_field_over_the_csv_limit_exits_2(tmp_path, capsys, command):
     assert err.startswith(f"error: {path}: line 4: field larger than field limit")
 
 
+@pytest.mark.parametrize("command", ["analyze", "diagnose"])
+def test_a_byte_that_is_not_utf8_is_reported_with_its_line(tmp_path, capsys, command):
+    # Line n holds subject Pn; the bad byte replaces the digits of P2500, far
+    # past the decoder's first 8 KB chunk.
+    lines = ["subject,stratum,treatment,baseline_pain,outcome_pain"]
+    lines += [f"P{n},{'ab'[n % 2]},{('treated', 'control')[n // 2 % 2]},1.0,2.0"
+              for n in range(2, 3001)]
+    path = tmp_path / "trial.csv"
+    path.write_bytes("\n".join(lines).encode().replace(b"P2500,", b"P\xff,") + b"\n")
+    assert path.read_bytes().index(b"\xff") > 8192
+    code = main([command, "--input", str(path), "--permutations", "99"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 2500: byte 0xff is not UTF-8")
+
+
 def test_analyze_unknown_method_exits_2(trial_csv, capsys):
     code = main(
         ["analyze", "--input", str(trial_csv), "--methods", "ancova,anova"]

@@ -21,18 +21,14 @@ from stratperm import hypothesis_tests
 from stratperm.hypothesis_tests import (
     METHODS,
     TrialData,
+    _exceedances,
+    _pvalue,
     exchangeability_diagnostic,
     npc_combine,
     run_trial,
 )
 from stratperm.linear_model import SingularDesignError, student_t_two_sided_p
-from stratperm.randomization import (
-    PermutationPlan,
-    StratumLayout,
-    _exceedances,
-    _pvalue,
-    sample_assignments,
-)
+from stratperm.randomization import PermutationPlan, StratumLayout, sample_assignments
 
 from reference.least_squares import (
     DesignMatrix,
@@ -633,7 +629,9 @@ def test_exact_tests_are_super_uniform_under_sharp_null():
 def _oracle_t(draws, fixed, q, df, draws_are_target):
     """Null t statistics by explicit projection: every row of ``draws`` and
     the ``fixed`` vector are residualized against the orthonormal nuisance
-    basis ``q``.  Singular rows and 0/0 rows score 0 and are counted."""
+    basis ``q``.  Singular rows and 0/0 rows score 0; they and the perfect
+    fits, whose residual sum of squares is at most 1e-12 of the response's,
+    are counted."""
     projected = draws - (draws @ q) @ q.T
     fixed_t = fixed - q @ (q.T @ fixed)
     dot = projected @ fixed_t
@@ -649,7 +647,7 @@ def _oracle_t(draws, fixed, q, df, draws_are_target):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(ok, dot / safe, 0.0) * np.sqrt(df * safe / rss)
     bad = ~ok | np.isnan(t)
-    return np.where(bad, 0.0, t), int(np.count_nonzero(bad))
+    return np.where(bad, 0.0, t), int(np.count_nonzero(bad | (rss <= 1e-12 * resp_ss)))
 
 
 def oracle_p(statistic, draws, mode, tail="two_sided"):
@@ -709,6 +707,25 @@ def _oracle(data, plan, method):
         observed.append(eps[pos] @ xc * scale)
         draws.append(eps[perm][:, pos] @ xc * scale)
     return np.array(observed), np.column_stack(draws), 0
+
+
+def test_perfect_null_fits_are_degenerate_and_count_as_exceedances():
+    # Small integers in strata of 3, 4 and 2 units: one of the 36 assignments
+    # and 8 of the 288 outcome permutations fit y exactly with a nonzero
+    # treatment coefficient.  Their t is infinite here, so they are
+    # degenerate, and they count as exceedances, since no draw can be more
+    # extreme.
+    data = TrialData.from_arrays(np.repeat([0, 1, 2], [3, 4, 2]), [0, 0, 1, 1, 0, 0, 1, 1, 0],
+                                 [3, 3, 2, 0, 0, 2, 0, 0, 3], [3, 1, 3, 2, 0, 2, 0, 1, 3])
+    plan = exact_plan(data)
+    results = run_trial([data], plan, ["lm_permutation", "manly"])[0]
+    for method, degenerate, k, b in (("lm_permutation", 1, 11, 36), ("manly", 8, 96, 288)):
+        result = results[method]
+        assert (result.degenerate_draws, result.p_value.exceedances,
+                result.p_value.draws) == (degenerate, k, b), method
+        statistic, draws, counted = _oracle(data, plan, method)
+        assert np.count_nonzero(np.isinf(draws)) == counted == degenerate, method
+        assert result.p_value == oracle_p(statistic, draws, "exact"), method
 
 
 def interleaved_trial(seed, sizes):
@@ -936,6 +953,33 @@ def test_exact_memory_is_set_by_the_orbit_not_its_units():
         tracemalloc.stop()
     assert result.p_value.draws == orbit
     assert peak < 12 * orbit * 8, peak / (orbit * 8)
+
+
+def test_draws_used_counts_the_draws_each_statistic_was_scored_on():
+    data = small_trial()
+    names = list(METHODS)
+    for plan in (exact_plan(data), mc_plan(data, draws=2500)):
+        results = run_trial([data], plan, names + ["exchangeability"])[0]
+        assert results["ancova"].draws_used == 0
+        for name, result in results.items():
+            if name != "ancova":
+                assert result.draws_used == result.p_value.draws > 0, name
+    # The first blocks of a plan are a plan of their draws, so a test's count
+    # after m blocks says whether stop_at stops it there.  Here some tests
+    # stop after one block, some after two and some never.
+    prefix = {b: run_trial([data], mc_plan(data, draws=b), names)[0]
+              for b in (1024, 2048, 2500)}
+    stopped = run_trial([data], mc_plan(data, draws=2500), names, stop_at=100)[0]
+    assert stopped["ancova"].draws_used == 0
+    used = []
+    for name in names[1:]:
+        used.append(next((b for b in (1024, 2048)
+                          if prefix[b][name].p_value.exceedances >= 100), 2500))
+        assert stopped[name].draws_used == used[-1], name
+        assert stopped[name].p_value.draws == 2500, name
+        if used[-1] == 2500:
+            assert stopped[name].p_value == prefix[2500][name].p_value, name
+    assert set(used) == {1024, 2048, 2500}
 
 
 def test_battery_rejects_unknown_tests():

@@ -65,3 +65,38 @@ def test_test_modules_use_every_name_they_import(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_modules_use_every_name_they_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced(sources: dict) -> list:
+    """The module-level functions and classes of ``sources`` ({module:
+    source}) that no module reads by name and their own module's ``__all__``
+    does not name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for module, tree in trees.items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        found += [f"{module}.{node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in read | exported]
+    return found
+
+
+def test_the_reference_check_finds_an_unreferenced_name():
+    sources = {"a": "__all__ = ['f']\ndef f(): return g()\ndef g(): pass\ndef h(): pass",
+               "b": "import a\nclass C: pass\nclass D: pass\na.C = C"}
+    assert _unreferenced(sources) == ["a.h", "b.D"]
+
+
+def test_package_defines_no_unreferenced_name():
+    assert _unreferenced({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []

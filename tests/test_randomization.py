@@ -13,13 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratperm import hypothesis_tests
-from stratperm.hypothesis_tests import METHODS, TrialData, _subgrids
-from stratperm.randomization import (
-    PermutationPlan,
+from stratperm.hypothesis_tests import (
+    METHODS,
     PValue,
-    StratumLayout,
+    TrialData,
     _exceedances,
     _pvalue,
+    _subgrids,
+)
+from stratperm.randomization import (
+    PermutationPlan,
+    StratumLayout,
     count_assignments,
     count_within_stratum_permutations,
     derive_seed,

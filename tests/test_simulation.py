@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stratperm.cli import main
-from stratperm.hypothesis_tests import METHODS, run_trial, tally_battery
+from stratperm.hypothesis_tests import METHODS, run_trial
 from stratperm.randomization import StratumLayout, derive_stream
 from stratperm.reporting import TrialDataset, write_trial_csv
 from stratperm.simulation import (
@@ -375,9 +375,11 @@ def test_tally_stops_after_the_first_block_whose_count_reaches_stop_at():
     first = run_trial([data], dataclasses.replace(plan, draws=1024), cfg.tests)[0]
     for name in cfg.tests[1:]:
         k = first[name].p_value.exceedances
-        p, used = tally_battery(data, plan, (name,), stop_at=k)[name]
+        res = run_trial([data], plan, (name,), stop_at=k)[0][name]
+        p, used = res.p_value.value, res.draws_used
         assert (p, used) == ((k + 1) / 3001, 1024)
-        p, used = tally_battery(data, plan, (name,), stop_at=k + 1)[name]
+        res = run_trial([data], plan, (name,), stop_at=k + 1)[0][name]
+        p, used = res.p_value.value, res.draws_used
         assert used > 1024 and p * 3001 - 1 >= k
 
 
@@ -398,9 +400,9 @@ def test_a_replication_builds_one_layout(monkeypatch):
 def test_tally_needs_a_monte_carlo_plan():
     data, plan, _ = _replication_inputs(config(master_seed=3), 0)
     with pytest.raises(ValueError, match="monte_carlo"):
-        tally_battery(data, dataclasses.replace(plan, mode="exact"), ("kennedy",), 1)
+        run_trial([data], dataclasses.replace(plan, mode="exact"), ("kennedy",), stop_at=1)
     with pytest.raises(ValueError, match="unknown"):
-        tally_battery(data, plan, ("exchangeability",), 1)
+        run_trial([data], plan, ("exchangeability",), stop_at=1)
 
 
 def test_power_study_records_draws_used():
