@@ -22,21 +22,25 @@ those products; every null statistic is a sum of per-stratum products, so
 nothing of size (draws x units) lives past one chunk, and beyond one block
 only the null statistics are kept.  An exact orbit is one crossed block per
 kind, each stratum's orbit listed once as one chunk: its per-stratum products
-are (orbit_j, columns), multiplied once, and the grid of their combinations
+are (columns, orbit_j), multiplied once, and the grid of their combinations
 is scored in contiguous sub-grids of at most 8,192 draws (:func:`_subgrids`).
-A block lays each stratum's products along its grid of draws, one axis for
-a Monte-Carlo block and one per stratum for a sub-grid, whose products are
-slices of the whole strata's, and adds them stratum after stratum by
-broadcasting.  Every exact null statistic is thus the one the whole grid
-would give, and exact memory is O(8,192 x columns) beyond the strata's own
-orbits, whatever the orbit's size.
+Products are stored columns first, one contiguous row of draws per column.
+A block lays each stratum's products along its grid of draws, behind the
+column axis: one axis for a Monte-Carlo block and one per stratum for a
+sub-grid, whose products are slices of the whole strata's.  It adds them
+stratum after stratum by broadcasting, in loops that run along the draws.
+Every exact null statistic is thus the one the whole grid would give, and
+exact memory is O(8,192 x columns) beyond the strata's own orbits, whatever
+the orbit's size.
 
 One loop, :func:`run_trial`, walks the orbit for several endpoints of one
 trial and counts each test's exceedances block by block (with ``stop_at``,
 until each decision at a given alpha is fixed, for power studies); only the
 exchangeability diagnostic keeps its null statistics, for their
-nonparametric combination.  Ties and the add-one rule are decided here too,
-by :func:`_exceedances` and :func:`_pvalue`.
+nonparametric combination, in one (draws x strata) array filled block by
+block, whose absolute values are copied once and ranked and combined in
+place (:func:`npc_combine`).  Ties and the add-one rule are decided here
+too, by :func:`_exceedances` and :func:`_pvalue`.
 
 The regression tests' nuisance columns are the stratum dummies and the
 baseline, and every fit is made in closed form (Frisch-Waugh-Lovell).  x, y
@@ -64,13 +68,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .linear_model import SingularDesignError, student_t_two_sided_p
-from .randomization import PermutationPlan, StratumLayout, orbit_blocks
+from .randomization import (PermutationPlan, StratumLayout, count_within_stratum_permutations,
+                            orbit_blocks)
 
 __all__ = [
     "TrialData",
@@ -294,8 +299,28 @@ def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
     response's.  One whose target is in the span, or whose t is 0/0, scores
     0; any other perfect fit keeps its t, +/-inf or near it, which is as
     extreme as a draw can be.
+
+    When no draw is singular, as is usual, the same operations run in the
+    same order into buffers of the kernel's own, without the selects, and
+    only then is t searched for 0/0, which only a perfect fit can give.
     """
     ok = target_ss > 1e-20 * np.maximum(target_raw_ss, 1e-300)
+    if ok.all():
+        gamma = dot / target_ss
+        rss = np.multiply(dot, dot)
+        rss /= target_ss
+        np.subtract(resp_ss, rss, out=rss)
+        np.maximum(rss, 0.0, out=rss)
+        t = df * target_ss
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t /= rss  # a new array when target_ss is shared by all draws
+            np.sqrt(t, out=t)
+            t *= gamma
+        # A 0/0 t has rss == 0, so it is among the perfect fits.
+        degenerate = int(np.count_nonzero(rss <= _PERFECT_FIT * resp_ss))
+        if degenerate:
+            t[np.isnan(t)] = 0.0
+        return t, degenerate
     safe = np.where(ok, target_ss, 1.0)
     gamma = np.where(ok, dot / safe, 0.0)
     rss = np.maximum(resp_ss - dot * dot / safe, 0.0)
@@ -530,16 +555,18 @@ class _Block:
     """One block of draws and its products with the columns the tests need:
     one matrix product per stratum, kind of row and chunk of draws.
 
-    Each stratum's products lie along the block's grid of draws, columns
-    last, and per-draw totals are their broadcast sums, added stratum after
-    stratum.  A Monte-Carlo block's grid has one axis: row b of every
-    stratum's products belongs to draw b, and the block holds every kind of
-    row the tests need.  An exact sub-grid (:meth:`cut`) holds one kind and
-    has one axis per stratum: stratum j's rows lie along axis j, and draw r
-    is the grid point at r in C order, earlier strata slowest.  The draws
-    themselves are not kept: ``replay()`` reads the block's chunks again,
-    each stratum's rows of the block's draws in order (see
-    :func:`~stratperm.randomization.orbit_blocks`).
+    Each stratum's products are stored columns first, as (columns, ...)
+    with the block's grid of draws behind the column axis, and per-draw
+    totals are their broadcast sums, added stratum after stratum; so one
+    column's per-stratum terms and totals (:meth:`per_stratum`,
+    :meth:`total`) are contiguous rows.  A Monte-Carlo block's grid has one
+    axis: entry b of every stratum's products belongs to draw b, and the
+    block holds every kind of row the tests need.  An exact sub-grid
+    (:meth:`cut`) holds one kind and has one grid axis per stratum: stratum
+    j's rows lie along grid axis j, and draw r is the grid point at r in C
+    order, earlier strata slowest.  The draws themselves are not kept:
+    ``replay()`` reads the block's chunks again, each stratum's rows of the
+    block's draws in order (see :func:`~stratperm.randomization.orbit_blocks`).
     """
 
     def __init__(self, battery: _Battery, replay, dims: int = 1):
@@ -550,7 +577,9 @@ class _Block:
 
     def add(self, j: int, treated, units) -> None:
         """Multiply one chunk of stratum j's draws (``treated`` as floats)
-        into the columns each kind of row needs."""
+        into the columns each kind of row needs, and store each product
+        columns first: a transposed copy of ``drawn @ columns``, so it is
+        rounded as the rows-first product is."""
         battery = self.battery
         for rows, chunks in self._chunks.items():
             drawn = treated if rows == _ASSIGNMENTS else units
@@ -558,7 +587,7 @@ class _Block:
                 continue
             if rows != _ASSIGNMENTS:
                 drawn = battery.values(rows)[drawn]
-            chunks[j].append(drawn @ battery.stratum_columns[rows][j])
+            chunks[j].append(np.ascontiguousarray((drawn @ battery.stratum_columns[rows][j]).T))
 
     def cut(self, grid, replay) -> "_Block":
         """The sub-grid of this exact block, one chunk per stratum, that
@@ -569,8 +598,8 @@ class _Block:
         for rows, chunks in self._chunks.items():
             if chunks[0]:
                 for j, (part, (product,), g) in enumerate(zip(sub._chunks[rows], chunks, grid)):
-                    part.append(product[g].reshape(
-                        (1,) * j + (-1,) + (1,) * (len(grid) - 1 - j) + product.shape[1:]))
+                    part.append(product[:, g].reshape(
+                        (product.shape[0],) + (1,) * j + (-1,) + (1,) * (len(grid) - 1 - j)))
         return sub
 
     def holds(self, method: str) -> bool:
@@ -586,14 +615,16 @@ class _Block:
         for rows, names in self.battery.needs.items():
             if self._chunks[rows][0]:
                 # A stratum of one chunk, as in every exact block, is not copied.
-                per = [p[0] if len(p) == 1 else np.concatenate(p) for p in self._chunks[rows]]
+                per = [p[0] if len(p) == 1 else np.concatenate(p, axis=1)
+                       for p in self._chunks[rows]]
                 out[rows] = (list(names), per, self.combine(per))
         return out
 
     def combine(self, terms) -> np.ndarray:
-        """Per-stratum terms summed over the strata, one sum per draw."""
+        """Per-stratum terms summed over the strata, one sum per draw (per
+        column, for products)."""
         total = sum(terms)
-        return total.reshape((-1,) + total.shape[self.dims:])
+        return total.reshape(total.shape[:total.ndim - self.dims] + (-1,))
 
     def expand(self, terms) -> np.ndarray:
         """Per-stratum vectors as a (draws, strata) matrix: column j holds
@@ -602,11 +633,11 @@ class _Block:
 
     def per_stratum(self, rows: str, column: str) -> list:
         names, per, _ = self.products[rows]
-        return [p[..., names.index(column)] for p in per]
+        return [p[names.index(column)] for p in per]
 
     def total(self, rows: str, column: str) -> np.ndarray:
         names, _, total = self.products[rows]
-        return total[:, names.index(column)]
+        return total[names.index(column)]
 
     def _rows(self, rows: str, draws) -> np.ndarray:
         """The chosen draws of ``rows`` as a (len(draws), n_units) matrix,
@@ -625,16 +656,20 @@ class _Block:
     def permuted_side(self, rows: str, fixed: str, with_x: bool = True):
         """FWL pieces of a regression test's permuted side v, per draw: v's
         cross product with the projected ``fixed`` column, and v's projected
-        sum of squares."""
+        sum of squares, a float shared by all draws when ``with_x`` is False
+        and no draw is projected explicitly.  Unless some draw is, ``dot`` is
+        the block's own total, which other tests read: it must not be
+        written to."""
         battery = self.battery
-        dot = self.total(rows, fixed).copy()
+        dot = self.total(rows, fixed)
         c = battery.centred_ss[rows]
-        ss = np.full(dot.shape, c)
-        if with_x:
-            ss -= self.total(rows, "u") ** 2
-        redo = np.nonzero(ss <= _CANCELLED * c)[0]
+        # Without the baseline, every draw's sum of squares is c.
+        ss = c - self.total(rows, "u") ** 2 if with_x else c
+        cancelled = ss <= _CANCELLED * c
+        redo = np.nonzero(cancelled)[0] if with_x else np.arange(dot.size if cancelled else 0)
         if redo.size:
             v = battery._project(self._rows(rows, redo), with_x)
+            dot, ss = dot.copy(), np.broadcast_to(ss, dot.shape).copy()
             ss[redo] = np.einsum("ij,ij->i", v, v)
             dot[redo] = np.einsum("ij,j->i", v, battery.column(fixed))
         return dot, ss
@@ -648,8 +683,10 @@ class _Scored:
     draws were degenerate; it is None for ANCOVA, whose p-value comes from
     Student's t with ``df`` degrees of freedom.  ``k`` counts the draws at
     least as extreme as the statistic on ``tail``, where draws within ``tie``
-    of it count as ties.  ``finish``, when given, builds the result from the
-    ``kept`` null statistics of every block in place of the p-value from k.
+    of it count as ties.  ``finish``, when given, builds the result in place
+    of the p-value from k, from ``kept``: the null statistics of the orbit's
+    ``kept_draws`` draws, one array allocated at the first block (once the
+    orbit's size has been checked) and filled block by block.
     """
 
     method: str
@@ -660,17 +697,20 @@ class _Scored:
     df: int | None = None
     flags: tuple[str, ...] = ()
     finish: Callable | None = None
+    kept_draws: int = 0
     k: int = 0
     draws: int = 0
     degenerate: int = 0
-    kept: list = field(default_factory=list)
+    kept: np.ndarray | None = None
 
     def score(self, block) -> None:
         null, degenerate = self.null(block)
         if self.finish is None:
             self.k += _exceedances(self.statistic, null, self.tail, self.tie)
         else:
-            self.kept.append(null)
+            if self.kept is None:
+                self.kept = np.empty((self.kept_draws,) + null.shape[1:])
+            self.kept[self.draws:self.draws + null.shape[0]] = null
         self.draws += null.shape[0]
         self.degenerate += degenerate
 
@@ -831,25 +871,34 @@ def _kennedy(battery: _Battery) -> _Scored:
 
 def _partial_pvalues(observed: np.ndarray, draws: np.ndarray):
     """Two-sided add-one partial p-values for the observed vector and every
-    draw row."""
-    a, o = np.abs(draws), np.abs(observed)
-    b, j = a.shape
+    draw row.  The draws' absolute values are ranked in place, one column at
+    a time against its sorted copy, in runs of at most ``_EXACT_BLOCK_DRAWS``
+    rows, so beyond the (B, J) result the work holds one column of B."""
+    o = np.abs(observed)
+    b, j = draws.shape
     obs_p = np.empty(j)
-    row_p = np.empty((b, j))
+    row_p = np.abs(draws, out=np.empty((b, j)))
+    s = np.empty(b)
     for col in range(j):
-        s = np.sort(a[:, col])
+        a = row_p[:, col]
+        s[:] = a
+        s.sort()
         obs_k = b - np.searchsorted(s, o[col] - TIE_TOLERANCE, side="left")
-        row_k = b - np.searchsorted(s, a[:, col] - TIE_TOLERANCE, side="left")
         obs_p[col] = (obs_k + 1) / (b + 1)
-        row_p[:, col] = (row_k + 1) / (b + 1)
+        for lo in range(0, b, _EXACT_BLOCK_DRAWS):
+            run = a[lo:lo + _EXACT_BLOCK_DRAWS]
+            run[:] = (b + 1 - np.searchsorted(s, run - TIE_TOLERANCE, side="left")) / (b + 1)
     return obs_p, row_p
 
 
 def _combine(p: np.ndarray, combiner: str) -> np.ndarray:
-    """Combining function applied along the last axis; larger = more extreme."""
+    """Combining function applied along the last axis; larger = more extreme.
+    The Fisher combination overwrites ``p`` with its logarithm."""
     with np.errstate(divide="ignore"):
         if combiner == "fisher":
-            return -2.0 * np.sum(np.log(p), axis=-1)
+            combined = np.sum(np.log(p, out=p), axis=-1)
+            combined *= -2.0
+            return combined
         if combiner == "tippett":
             return 1.0 - np.min(p, axis=-1)
         if combiner == "liptak":
@@ -876,7 +925,7 @@ def npc_combine(observed, draws, combiner: str = "fisher") -> NpcResult:
     if draws.ndim != 2 or not draws.shape[0] or observed.shape != (draws.shape[1],):
         raise ValueError("observed must be (J,) and draws (B, J), B >= 1")
     obs_p, row_p = _partial_pvalues(observed, draws)
-    stat = float(_combine(obs_p, combiner))
+    stat = float(_combine(obs_p.copy(), combiner))
     k = _exceedances(stat, _combine(row_p, combiner), "right")
     return NpcResult(statistic=stat, p_value=_pvalue(k, draws.shape[0], "monte_carlo"),
                      partial_p=obs_p, combiner=combiner)
@@ -892,12 +941,15 @@ def _exchangeability(battery: _Battery) -> _Scored:
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(constant, 0.0, 1.0 / denom)
     observed = battery.sums(eps * xc) * scale
+    plan = battery.plan
+    size = (plan.draws if plan.mode == "monte_carlo"
+            else count_within_stratum_permutations(plan.layout))
 
     def null(block):
         return block.expand([p * s for p, s in zip(block.per_stratum(_RESIDUALS, "xc"), scale)]), 0
 
     def finish(kept):
-        npc = npc_combine(observed, np.concatenate(kept))
+        npc = npc_combine(observed, kept)
         return TestResult(
             method="exchangeability",
             statistic=npc.statistic,
@@ -912,7 +964,7 @@ def _exchangeability(battery: _Battery) -> _Scored:
         )
 
     # The combined statistic needs every draw, so it is left to finish.
-    return _Scored("exchangeability", float("nan"), null, finish=finish)
+    return _Scored("exchangeability", float("nan"), null, finish=finish, kept_draws=size)
 
 
 def exchangeability_diagnostic(data: TrialData, plan: PermutationPlan) -> TestResult:

@@ -30,6 +30,7 @@ from stratperm.hypothesis_tests import (
 from stratperm.linear_model import SingularDesignError, student_t_two_sided_p
 from stratperm.randomization import PermutationPlan, StratumLayout, sample_assignments
 
+from reference.fwl import _fwl_t as reference_fwl_t
 from reference.least_squares import (
     DesignMatrix,
     build_design,
@@ -523,7 +524,10 @@ def test_npc_tippett_follows_minimum_partial():
     rng = np.random.default_rng(23)
     draws = rng.standard_normal((999, 2))
     observed = np.array([0.1, 3.4])
+    given = draws.copy()
     fisher = npc_combine(observed, draws, combiner="fisher")
+    # The combination ranks in place, but on its own copy of the draws.
+    np.testing.assert_array_equal(draws, given)
     tippett = npc_combine(observed, draws, combiner="tippett")
     # the strong second component should drive tippett at least as hard
     assert tippett.p_value.value <= fisher.p_value.value + 0.02
@@ -728,6 +732,58 @@ def test_perfect_null_fits_are_degenerate_and_count_as_exceedances():
         assert result.p_value == oracle_p(statistic, draws, "exact"), method
 
 
+# Whether _fwl_t's target and response sums of squares are shared by all
+# draws (a float) or per draw, as each test calls it.
+FWL_SHAPES = {
+    "lm_permutation": (False, True),
+    "freedman_lane_manly": (True, False),
+    "kennedy": (True, True),
+    "per_draw_resp_ss": (False, False),
+}
+
+
+@pytest.mark.parametrize("shape", list(FWL_SHAPES))
+def test_fwl_kernel_matches_its_reference_bit_for_bit(shape):
+    # Each draw is ordinary, singular (target at most 1e-20 of its raw sum
+    # of squares), 0/0 (dot and rss both 0), a perfect fit with a finite t
+    # (rss at most 1e-12 of the response's) or one with an infinite t.  Half
+    # the inputs have no singular draw, so the kernel takes its fast path.
+    shared_target, shared_resp = FWL_SHAPES[shape]
+    rng = np.random.default_rng(list(FWL_SHAPES).index(shape))
+    n, df, raw = 300, 7, 40.0
+    degenerate = finite_perfect = fast = 0
+    for trial in range(60):
+        target = rng.uniform(0.1, 10.0, 1 if shared_target else n)
+        resp = rng.uniform(0.1, 10.0, 1 if shared_resp else n)
+        dot = rng.uniform(-1.0, 1.0, n) * np.sqrt(target * resp)
+        kinds = rng.integers(0, 5, n) if trial % 2 else rng.choice([0, 2, 3, 4], n)
+        if shared_target and trial % 4 == 1:
+            target[:] = 1e-21 * raw
+        if shared_resp and trial % 4 == 3:
+            resp[:] = 0.0
+        full_target, full_resp = np.broadcast_to(target, n), np.broadcast_to(resp, n)
+        root = np.sqrt(full_target * full_resp) * np.sign(dot)
+        dot = np.select([kinds == 2, kinds == 3, kinds == 4],
+                        [0.0, root * math.sqrt(1 - 1e-13), root * (1 + 1e-9)], dot)
+        if not shared_target:
+            target[kinds == 1] = 1e-21 * raw
+        if not shared_resp:
+            resp[kinds == 2] = 0.0
+        args = [float(v[0]) if shared else v for v, shared in
+                ((target, shared_target), (resp, shared_resp))]
+        given = dot.copy()
+        t, k = hypothesis_tests._fwl_t(dot, args[0], args[1], df, raw)
+        t_ref, k_ref = reference_fwl_t(dot, args[0], args[1], df, raw)
+        np.testing.assert_array_equal(dot, given)
+        assert t.shape == t_ref.shape == (n,)
+        np.testing.assert_array_equal(t.view(np.uint64), t_ref.view(np.uint64))
+        assert k == k_ref
+        degenerate += k
+        finite_perfect += int(np.count_nonzero((kinds == 3) & np.isfinite(t) & (t != 0)))
+        fast += bool(np.all(np.broadcast_to(args[0], n) > 1e-20 * raw))
+    assert degenerate and finite_perfect and 0 < fast < 60
+
+
 def interleaved_trial(seed, sizes):
     """A trial whose strata codes interleave, with a real effect."""
     rng = np.random.default_rng(seed)
@@ -884,8 +940,9 @@ def test_exact_results_do_not_depend_on_the_subgrids(bound, monkeypatch):
     # A sub-grid is a contiguous run of the orbit whose products are slices
     # of its strata's whole products, so its null statistics are the ones
     # the whole grid gives, bit for bit, and so is every result: on a
-    # contiguous, an interleaved and a 3-stratum layout, for every exact
-    # test alone and for all of them on two endpoints at once.  With
+    # contiguous, an interleaved, a 3-stratum and a 4-stratum layout (144
+    # permutations and 36 assignments, scored on four grid axes), for every
+    # exact test alone and for all of them on two endpoints at once.  With
     # _CANCELLED at 1 every regression draw is projected explicitly, row by
     # row, so it too must not depend on which draws share its sub-grid.
     score = hypothesis_tests._Scored.score
@@ -898,7 +955,8 @@ def test_exact_results_do_not_depend_on_the_subgrids(bound, monkeypatch):
     monkeypatch.setattr(hypothesis_tests._Scored, "score", spy)
     names = list(METHODS) + ["exchangeability"]
     default = hypothesis_tests._EXACT_BLOCK_DRAWS
-    trials = [small_trial(), interleaved_trial(6, (3, 4, 2)), interleaved_trial(7, (3, 3, 4))]
+    trials = [small_trial(), interleaved_trial(6, (3, 4, 2)), interleaved_trial(7, (3, 3, 4)),
+              interleaved_trial(8, (3, 2, 3, 2))]
     for cancelled, data in itertools.product((hypothesis_tests._CANCELLED, 1.0), trials):
         monkeypatch.setattr(hypothesis_tests, "_CANCELLED", cancelled)
         plan = exact_plan(data)
@@ -953,6 +1011,31 @@ def test_exact_memory_is_set_by_the_orbit_not_its_units():
         tracemalloc.stop()
     assert result.p_value.draws == orbit
     assert peak < 12 * orbit * 8, peak / (orbit * 8)
+
+
+def test_exchangeability_memory_is_within_twice_its_kept_statistics():
+    # The 7 + 5-unit orbit above, on two endpoints.  The diagnostic keeps
+    # each endpoint's (orbit, strata) null statistics, 9.7 MB, in one array
+    # filled sub-grid by sub-grid; the combination ranks and combines one
+    # copy of their absolute values in place.
+    rng = np.random.default_rng(71)
+    strata = np.repeat([0, 1], (7, 5))
+    z = np.array([1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0], dtype=np.int8)
+    x = rng.standard_normal(12)
+    endpoints = [TrialData.from_arrays(strata, z, x, x + g * z + rng.standard_normal(12))
+                 for g in (0.5, 0.0)]
+    orbit = 604_800
+    kept = len(endpoints) * orbit * 2 * 8
+    tracemalloc.start()
+    try:
+        results = run_trial(endpoints, exact_plan(endpoints[0]),
+                            ["freedman_lane", "kennedy", "manly", "exchangeability"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for result in results:
+        assert result["exchangeability"].draws_used == result["manly"].draws_used == orbit
+    assert peak <= 2 * kept, peak / kept
 
 
 def test_draws_used_counts_the_draws_each_statistic_was_scored_on():

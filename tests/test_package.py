@@ -1,8 +1,10 @@
 """The package's public names, and the references' independence from it."""
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -24,7 +26,7 @@ def test_every_exported_name_resolves(module):
 REFERENCE = pathlib.Path(__file__).parent / "reference"
 
 
-@pytest.mark.parametrize("script", ["orbits.py", "make_power_reference.py"])
+@pytest.mark.parametrize("script", ["orbits.py", "make_power_reference.py", "fwl.py"])
 def test_references_import_nothing_from_the_package(script):
     # The references are independent oracles: a bug in the package must not
     # reach them through an import.
@@ -100,3 +102,42 @@ def test_the_reference_check_finds_an_unreferenced_name():
 
 def test_package_defines_no_unreferenced_name():
     assert _unreferenced({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+
+
+def test_the_benchmark_tracer_wraps_and_restores_the_package(monkeypatch):
+    # The benchmark's tracer replaces the package's public functions at every
+    # name bound to them; a name it reads that the package no longer has
+    # would break every traced benchmark run, and the benchmark's own tests
+    # lie outside this suite.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    hyp = importlib.import_module("stratperm.hypothesis_tests")
+    plans = importlib.import_module("stratperm.randomization")
+    namespaces = [vars(importlib.import_module(f"stratperm.{m}"))
+                  for m in tracing.LAYER_MODULES] + [hyp.METHODS]
+    before = [dict(namespace) for namespace in namespaces]
+    data = hyp.TrialData.from_arrays([0] * 4 + [1] * 4, [1, 0, 1, 0, 0, 1, 1, 0],
+                                     [0.3, 1.2, -0.4, 0.8, 1.1, -0.2, 0.5, 0.9],
+                                     [0.9, 1.0, -0.1, 0.2, 1.6, 0.4, 0.3, 0.6])
+    plan = plans.PermutationPlan(layout=data.layout, draws=50, master_seed=3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = len(tracer._patches)
+        exact = hyp.METHODS["freedman_lane"](
+            data, plans.PermutationPlan(layout=data.layout, mode="exact"))
+        sampled = hyp.run_trial([data], plan, ["lm_permutation", "exchangeability"])[0]
+    finally:
+        tracer.uninstall()
+    assert patched
+    assert exact.p_value.draws == 576 and sampled["lm_permutation"].p_value.draws == 50
+    assert {"hypothesis_tests.run_trial", "randomization.orbit_blocks"} <= {
+        span.name for span in tracer.spans}
+    assert [[name for name, value in old.items() if namespace.get(name) is not value]
+            for namespace, old in zip(namespaces, before)] == [[] for _ in namespaces]
