@@ -300,36 +300,32 @@ def _fwl_t(dot, target_ss, resp_ss, df, target_raw_ss):
     0; any other perfect fit keeps its t, +/-inf or near it, which is as
     extreme as a draw can be.
 
-    When no draw is singular, as is usual, the same operations run in the
-    same order into buffers of the kernel's own, without the selects, and
-    only then is t searched for 0/0, which only a perfect fit can give.
+    The pieces are built in place, by the same operations in the same order
+    as the ``np.where`` form of ``tests/reference/fwl.py``.  A singular
+    draw divides by 1 instead of its target, and its gamma and rss are then
+    set to 0, so that it scores 0/0 like the perfect fits it is counted with.
+    t is searched for 0/0 only when some draw is degenerate: a 0/0 t has
+    rss == 0.
     """
     ok = target_ss > 1e-20 * np.maximum(target_raw_ss, 1e-300)
-    if ok.all():
-        gamma = dot / target_ss
-        rss = np.multiply(dot, dot)
-        rss /= target_ss
-        np.subtract(resp_ss, rss, out=rss)
-        np.maximum(rss, 0.0, out=rss)
-        t = df * target_ss
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t /= rss  # a new array when target_ss is shared by all draws
-            np.sqrt(t, out=t)
-            t *= gamma
-        # A 0/0 t has rss == 0, so it is among the perfect fits.
-        degenerate = int(np.count_nonzero(rss <= _PERFECT_FIT * resp_ss))
-        if degenerate:
-            t[np.isnan(t)] = 0.0
-        return t, degenerate
-    safe = np.where(ok, target_ss, 1.0)
-    gamma = np.where(ok, dot / safe, 0.0)
-    rss = np.maximum(resp_ss - dot * dot / safe, 0.0)
+    singular = not ok.all()
+    safe = np.where(ok, target_ss, 1.0) if singular else target_ss
+    gamma = dot / safe
+    rss = np.multiply(dot, dot)
+    rss /= safe
+    np.subtract(resp_ss, rss, out=rss)
+    np.maximum(rss, 0.0, out=rss)
+    if singular:
+        gamma[~ok] = 0.0
+        rss[~ok] = 0.0
+    t = df * safe
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = gamma * np.sqrt(df * safe / rss)
-    bad = ~ok | np.isnan(t)
-    degenerate = int(np.count_nonzero(bad | (rss <= _PERFECT_FIT * resp_ss)))
-    if np.any(bad):
-        t = np.where(bad, 0.0, t)
+        t /= rss  # a new array when safe is shared by all draws
+        np.sqrt(t, out=t)
+        t *= gamma
+    degenerate = int(np.count_nonzero(rss <= _PERFECT_FIT * resp_ss))
+    if degenerate:
+        t[np.isnan(t)] = 0.0
     return t, degenerate
 
 
@@ -684,7 +680,8 @@ class _Scored:
     Student's t with ``df`` degrees of freedom.  ``k`` counts the draws at
     least as extreme as the statistic on ``tail``, where draws within ``tie``
     of it count as ties.  ``finish``, when given, builds the result in place
-    of the p-value from k, from ``kept``: the null statistics of the orbit's
+    of the p-value from k, from the ``draws`` rows of ``kept`` filled so
+    far: ``kept`` has room for the null statistics of the orbit's
     ``kept_draws`` draws, one array allocated at the first block (once the
     orbit's size has been checked) and filled block by block.
     """
@@ -716,7 +713,7 @@ class _Scored:
 
     def result(self, plan: PermutationPlan | None) -> TestResult:
         if self.finish is not None:
-            return self.finish(self.kept)
+            return self.finish(self.kept[:self.draws])
         if self.null is None:
             # A flagged fit has no t: its p-value is 1.
             p = PValue(value=1.0 if self.flags else student_t_two_sided_p(self.statistic, self.df),

@@ -1,9 +1,9 @@
 """The Frisch-Waugh-Lovell t kernel as first written: the tests' reference.
 
-The package's ``_fwl_t`` takes a faster path when no draw is singular, by
-the same floating-point operations in the same order; this copy keeps the
-one path of ``np.where`` selects, so the tests can require bit-identical t
-statistics and equal degenerate counts.  It imports nothing from the
+The package's ``_fwl_t`` builds its pieces in place, by the same
+floating-point operations in the same order; this copy keeps the
+``np.where`` selects, so the tests can require bit-identical t statistics
+and equal degenerate counts.  It imports nothing from the
 package.
 """
 

@@ -747,11 +747,12 @@ def test_fwl_kernel_matches_its_reference_bit_for_bit(shape):
     # Each draw is ordinary, singular (target at most 1e-20 of its raw sum
     # of squares), 0/0 (dot and rss both 0), a perfect fit with a finite t
     # (rss at most 1e-12 of the response's) or one with an infinite t.  Half
-    # the inputs have no singular draw, so the kernel takes its fast path.
+    # the inputs have no singular draw, so the kernel divides by the targets
+    # as given.
     shared_target, shared_resp = FWL_SHAPES[shape]
     rng = np.random.default_rng(list(FWL_SHAPES).index(shape))
     n, df, raw = 300, 7, 40.0
-    degenerate = finite_perfect = fast = 0
+    degenerate = finite_perfect = unsingular = 0
     for trial in range(60):
         target = rng.uniform(0.1, 10.0, 1 if shared_target else n)
         resp = rng.uniform(0.1, 10.0, 1 if shared_resp else n)
@@ -780,8 +781,8 @@ def test_fwl_kernel_matches_its_reference_bit_for_bit(shape):
         assert k == k_ref
         degenerate += k
         finite_perfect += int(np.count_nonzero((kinds == 3) & np.isfinite(t) & (t != 0)))
-        fast += bool(np.all(np.broadcast_to(args[0], n) > 1e-20 * raw))
-    assert degenerate and finite_perfect and 0 < fast < 60
+        unsingular += bool(np.all(np.broadcast_to(args[0], n) > 1e-20 * raw))
+    assert degenerate and finite_perfect and 0 < unsingular < 60
 
 
 def interleaved_trial(seed, sizes):
