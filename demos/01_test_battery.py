@@ -50,7 +50,7 @@ for j, site in enumerate(("lyon", "nancy", "paris")):
         return float(yj[zj == 1].mean() - yj[zj == 0].mean())
     observed.append(diff(z[members]))
     null[:, j] = [diff(zd[members]) for zd in draws]
-combined = npc_combine(np.array(observed), null, combiner="fisher")
+combined = npc_combine(np.array(observed), null)
 print(f"\nper-site diff-means p: "
       + " ".join(f"{p:.3f}" for p in combined.partial_p))
 print(f"Fisher NPC global p:   {combined.p_value.value:.4f}")

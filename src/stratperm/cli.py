@@ -3,9 +3,10 @@
 Three subcommands: ``analyze`` runs the test battery on a trial CSV,
 ``simulate`` runs scenario files through the power-study engine, and
 ``diagnose`` checks residual exchangeability.  Exit codes: 0 success, 2 bad
-input (missing files, malformed data or scenarios), 3 numerical failure
-(singular designs and the like).  All randomness flows from --seed; there is
-no environment-variable configuration.
+input (missing files, malformed data or scenarios, counts too large to
+allocate), 3 numerical failure (singular designs and the like).  All
+randomness flows from --seed; there is no environment-variable
+configuration.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERIC
-    except (TrialDataError, ValueError, OSError) as err:
+    except (TrialDataError, ValueError, OSError, MemoryError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
 

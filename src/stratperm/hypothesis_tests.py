@@ -184,8 +184,8 @@ class TestResult:
     perfect (see :func:`_fwl_t`): a singular or 0/0 fit scores 0, and a
     perfect one keeps its t, infinite or near it, which counts as an
     exceedance.  ``per_stratum`` holds the exchangeability diagnostic's
-    partial p-values and ``null_summary`` its stratum correlations and
-    combiner; both are None for every other test.
+    partial p-values and ``null_summary`` its stratum correlations; both are
+    None for every other test.
     """
 
     method: str
@@ -201,12 +201,11 @@ class TestResult:
 
 @dataclass(frozen=True, eq=False)
 class NpcResult:
-    """Nonparametric combination of several dependent permutation tests."""
+    """Fisher's nonparametric combination of dependent permutation tests."""
 
     statistic: float
     p_value: PValue
     partial_p: np.ndarray
-    combiner: str
 
 
 # ---------------------------------------------------------------------------
@@ -888,44 +887,33 @@ def _partial_pvalues(observed: np.ndarray, draws: np.ndarray):
     return obs_p, row_p
 
 
-def _combine(p: np.ndarray, combiner: str) -> np.ndarray:
-    """Combining function applied along the last axis; larger = more extreme.
-    The Fisher combination overwrites ``p`` with its logarithm."""
-    with np.errstate(divide="ignore"):
-        if combiner == "fisher":
-            combined = np.sum(np.log(p, out=p), axis=-1)
-            combined *= -2.0
-            return combined
-        if combiner == "tippett":
-            return 1.0 - np.min(p, axis=-1)
-        if combiner == "liptak":
-            # Only this combiner needs scipy.special, whose import would
-            # double the start-up time of every command.
-            from scipy.special import ndtri
-
-            return np.sum(ndtri(1.0 - p), axis=-1)
-    raise ValueError(f"unknown combiner {combiner!r}")
+def _fisher(p: np.ndarray) -> np.ndarray:
+    """Fisher's combination -2 sum(log p) along the last axis, larger = more
+    extreme; it overwrites ``p`` with its logarithm."""
+    combined = np.sum(np.log(p, out=p), axis=-1)
+    combined *= -2.0
+    return combined
 
 
-def npc_combine(observed, draws, combiner: str = "fisher") -> NpcResult:
+def npc_combine(observed, draws) -> NpcResult:
     """Nonparametric combination of J dependent permutation statistics.
 
     ``observed`` is the length-J vector of observed statistics and ``draws``
     the (B, J) matrix of their joint null draws, rows aligned across strata
     by shared re-randomization.  Two-sided partial p-values use the add-one
-    rule within each column; the combined statistic is compared right-tailed
-    against its own row-wise null.  Fisher is the default; tippett and liptak
-    are available (liptak draws can be negative, hence the signed comparison).
+    rule within each column, so none is 0; Fisher's rule combines them, and
+    the combined statistic is compared right-tailed against its own row-wise
+    null.
     """
     observed = np.asarray(observed, dtype=float)
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or not draws.shape[0] or observed.shape != (draws.shape[1],):
         raise ValueError("observed must be (J,) and draws (B, J), B >= 1")
     obs_p, row_p = _partial_pvalues(observed, draws)
-    stat = float(_combine(obs_p.copy(), combiner))
-    k = _exceedances(stat, _combine(row_p, combiner), "right")
+    stat = float(_fisher(obs_p.copy()))
+    k = _exceedances(stat, _fisher(row_p), "right")
     return NpcResult(statistic=stat, p_value=_pvalue(k, draws.shape[0], "monte_carlo"),
-                     partial_p=obs_p, combiner=combiner)
+                     partial_p=obs_p)
 
 
 def _exchangeability(battery: _Battery) -> _Scored:
@@ -952,10 +940,7 @@ def _exchangeability(battery: _Battery) -> _Scored:
             statistic=npc.statistic,
             p_value=npc.p_value,
             per_stratum=tuple(float(v) for v in npc.partial_p),
-            null_summary={
-                "stratum_correlations": [float(v) for v in observed],
-                "combiner": npc.combiner,
-            },
+            null_summary={"stratum_correlations": [float(v) for v in observed]},
             flags=tuple(flags),
             draws_used=npc.p_value.draws,
         )

@@ -11,8 +11,8 @@ closed form is checked against.
 
 The Student-t tail probability is computed here with the standard library's
 ``math``, as a regularized incomplete beta function (see
-:func:`student_t_two_sided_p`), so that no command has to import
-``scipy.special``.  Against ``scipy.special.stdtr`` it agrees to 1e-12
+:func:`student_t_two_sided_p`), so that numpy is the package's only
+dependency.  Against ``scipy.special.stdtr`` it agrees to 1e-12
 relative up to 2,000 degrees of freedom and to 1e-10 up to 100,000; the test
 suite checks it there and against closed forms that share no code with scipy.
 """

@@ -78,15 +78,12 @@ def _json_text(payload) -> str:
 
 def _engine_provenance() -> dict:
     """The engine, how it draws Monte-Carlo orbits, and the numerical
-    libraries behind a result; recorded in reports and simulation output."""
-    import scipy  # only its version is read, so importing the package skips it
-
+    library behind a result; recorded in reports and simulation output."""
     return {
         "engine": "stratperm",
         "version": __version__,
         "draw_scheme": dict(DRAW_SCHEME),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 

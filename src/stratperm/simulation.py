@@ -94,7 +94,6 @@ class ScenarioConfig:
     tests: tuple[str, ...] = DEFAULT_TESTS
     alpha: float = 0.05
     master_seed: int | None = None
-    rounding: str = "truncate"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -113,8 +112,6 @@ class ScenarioConfig:
             raise ValueError(
                 "heterogeneous latent ranges are defined for exactly 3 strata"
             )
-        if self.rounding not in ("truncate", "floor"):
-            raise ValueError(f"unknown rounding {self.rounding!r}")
         if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError("gamma must be a finite nonnegative number")
         if not 0.0 < self.alpha < 1.0:
@@ -285,11 +282,11 @@ def generate_continuous_population(
 def generate_discrete_population(
     config: ScenarioConfig, stream: np.random.Generator
 ) -> Population:
-    """Continuous family with the fractional parts removed afterwards."""
+    """Continuous family with the fractional parts removed afterwards, by
+    truncation toward zero."""
     base = generate_continuous_population(config, stream)
-    rounder = np.trunc if config.rounding == "truncate" else np.floor
     return dataclasses.replace(
-        base, x=rounder(base.x), y0=rounder(base.y0), y1=rounder(base.y1)
+        base, x=np.trunc(base.x), y0=np.trunc(base.y0), y1=np.trunc(base.y1)
     )
 
 

@@ -505,7 +505,7 @@ def test_npc_single_column_reduces_to_partial_test():
     rng = np.random.default_rng(21)
     draws = rng.standard_normal((499, 1))
     observed = np.array([1.7])
-    result = npc_combine(observed, draws, combiner="fisher")
+    result = npc_combine(observed, draws)
     k = np.sum(np.abs(draws[:, 0]) >= abs(observed[0]) - TIE)
     partial = (k + 1) / 500.0
     assert result.partial_p[0] == pytest.approx(partial, abs=1e-12)
@@ -516,33 +516,15 @@ def test_npc_fisher_beats_its_weakest_partial_on_consonant_signal():
     rng = np.random.default_rng(22)
     draws = rng.standard_normal((999, 3))
     observed = np.array([2.6, 2.4, 2.8])
-    result = npc_combine(observed, draws, combiner="fisher")
+    given = draws.copy()
+    result = npc_combine(observed, draws)
+    # The combination ranks in place, but on its own copy of the draws.
+    np.testing.assert_array_equal(draws, given)
+    assert result.statistic == pytest.approx(-2.0 * np.log(result.partial_p).sum(), rel=1e-12)
     assert result.p_value.value < result.partial_p.max()
 
 
-def test_npc_tippett_follows_minimum_partial():
-    rng = np.random.default_rng(23)
-    draws = rng.standard_normal((999, 2))
-    observed = np.array([0.1, 3.4])
-    given = draws.copy()
-    fisher = npc_combine(observed, draws, combiner="fisher")
-    # The combination ranks in place, but on its own copy of the draws.
-    np.testing.assert_array_equal(draws, given)
-    tippett = npc_combine(observed, draws, combiner="tippett")
-    # the strong second component should drive tippett at least as hard
-    assert tippett.p_value.value <= fisher.p_value.value + 0.02
-    assert tippett.combiner == "tippett"
-
-
-def test_npc_liptak_runs_and_orders_sensibly():
-    rng = np.random.default_rng(24)
-    draws = rng.standard_normal((999, 2))
-    strong = npc_combine(np.array([2.9, 3.1]), draws, combiner="liptak")
-    weak = npc_combine(np.array([0.2, -0.1]), draws, combiner="liptak")
-    assert strong.p_value.value < weak.p_value.value
-
-
-def test_npc_validates_shapes_and_combiner():
+def test_npc_validates_shapes():
     draws = np.zeros((10, 2))
     with pytest.raises(ValueError):
         npc_combine(np.zeros(3), draws)
@@ -550,8 +532,6 @@ def test_npc_validates_shapes_and_combiner():
         npc_combine(np.zeros(2), np.zeros(10))
     with pytest.raises(ValueError):
         npc_combine(np.zeros(2), np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        npc_combine(np.zeros(2), draws, combiner="median")
 
 
 # ---------------------------------------------------------------------------
