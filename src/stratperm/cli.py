@@ -146,7 +146,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_diagnose(args) -> int:
     dataset = load_trial_csv(args.input, control_label=args.control)
     rows = diagnose_exchangeability(dataset, args.permutations, args.seed)
-    width = max(len(r["endpoint"]) for r in rows)
+    width = max(map(len, ["endpoint", *(r["endpoint"] for r in rows)]))
     sys.stdout.write(
         f"{'endpoint':<{width}}  {'statistic':>10}  {'p':>6}  per-stratum p\n"
     )

@@ -11,19 +11,20 @@ Student's t) and a family of permutation strategies that differ only in
   strata (Freedman-Lane permutes null-model residuals, Kennedy regresses
   treatment on permuted residuals, Manly permutes the outcomes).
 
-All permutation tests run on one (data, plan) share one null engine.  It
-draws the plan's orbit once, one block of at most 1,024 draws at a time,
-each stratum's part of a block in row chunks of at most 2^16 unit positions
-(:func:`~stratperm.randomization.orbit_blocks`).  As each chunk is drawn it
-is multiplied by the columns the requested tests need, one matrix product
+All permutation tests run on one (data, plan) share one null engine, and
+one walker, :func:`_blocks`, reads a plan's orbit.  A Monte-Carlo orbit is
+drawn once, one block of at most 1,024 draws at a time, each stratum's part
+of a block in row chunks of at most 2^16 unit positions
+(:func:`~stratperm.randomization._sampled_blocks`).  As each chunk is drawn
+it is multiplied by the columns the requested tests need, one matrix product
 per stratum and kind of row, for every endpoint, and then dropped.  Each
 test is split into its observed side and a null that scores one block from
 those products; every null statistic is a sum of per-stratum products, so
 nothing of size (draws x units) lives past one chunk, and beyond one block
 only the null statistics are kept.  An exact orbit is one crossed block per
-kind, each stratum's orbit listed once as one chunk: its per-stratum products
-are (columns, orbit_j), multiplied once, and the grid of their combinations
-is scored in contiguous sub-grids of at most 8,192 draws (:func:`_subgrids`).
+kind, each stratum's orbit enumerated once: its per-stratum products are
+(columns, orbit_j), multiplied once, and the grid of their combinations is
+scored in contiguous sub-grids of at most 8,192 draws (:func:`_subgrids`).
 Products are stored columns first, one contiguous row of draws per column.
 A block lays each stratum's products along its grid of draws, behind the
 column axis: one axis for a Monte-Carlo block and one per stratum for a
@@ -43,20 +44,21 @@ place (:func:`npc_combine`).  Ties and the add-one rule are decided here
 too, by :func:`_exceedances` and :func:`_pvalue`.
 
 The regression tests' nuisance columns are the stratum dummies and the
-baseline, and every fit is made in closed form (Frisch-Waugh-Lovell).  x, y
-and z are centred within strata once per endpoint, from per-stratum sums;
-with u the centred baseline at unit length, y_t and z_t are the centred y
-and z with their u component removed.  y_t is the null model's residual
-vector; ANCOVA's t is that of y_t regressed on z_t, and Kennedy's that of
-the centred z regressed on y_t.  A permuted vector v has projected sum of
-squares c - (u.v)^2, where c is its centred sum of squares, which
-permutation within strata leaves unchanged, and its cross product with the
-projected fixed side is one dot product.  A draw whose difference keeps
-less than ``_CANCELLED`` of c may have lost its digits to cancellation and
-is projected explicitly, from its rows read again by replaying its block (a
-sub-grid's replay gives each stratum's rows of its draws in order, as a
-Monte-Carlo block's does), row by row, so singular draws still score 0 and
-no draw depends on which others are projected with it.
+baseline (Kennedy's, the stratum dummies alone), and every fit is made in
+closed form (Frisch-Waugh-Lovell).  x, y and z are centred within strata
+once per endpoint, from per-stratum sums; with u the centred baseline at
+unit length, y_t and z_t are the centred y and z with their u component
+removed.  y_t is the null model's residual vector; ANCOVA's t is that of y_t
+regressed on z_t, and Kennedy's that of the centred z regressed on y_t.  A
+permuted vector v keeps its centred sum of squares c, which is Kennedy's
+permuted sum of squares; with u projected out it is c - (u.v)^2, and its
+cross product with the projected fixed side is one dot product.  A draw
+whose difference keeps less than ``_CANCELLED`` of c may have lost its
+digits to cancellation and is projected explicitly, from its rows read
+again by replaying its block (a sub-grid's replay gives each stratum's rows
+of its draws in order, as a Monte-Carlo block's does), row by row, so
+singular draws still score 0 and no draw depends on which others are
+projected with it.
 
 Rank checks compare a column with its own norm, so they do not depend on
 the data's units.  The test suite checks the engine against full refits, a
@@ -74,8 +76,10 @@ from functools import cached_property
 import numpy as np
 
 from .linear_model import SingularDesignError, student_t_two_sided_p
-from .randomization import (PermutationPlan, StratumLayout, count_within_stratum_permutations,
-                            orbit_blocks)
+from . import randomization
+from .randomization import (DEFAULT_ENUMERATION_CAP, PermutationPlan, StratumLayout,
+                            count_assignments, count_within_stratum_permutations,
+                            enumerate_assignments, enumerate_within_stratum_permutations)
 
 __all__ = [
     "TrialData",
@@ -412,15 +416,13 @@ class _Battery:
             rows -= (sums.reshape(-1, n_strata) / self.sizes)[:, strata]
         return out
 
-    def _project(self, v, with_x: bool = True) -> np.ndarray:
-        """Each row of v with the stratum dummies projected out (centred
-        within strata) and, if ``with_x``, the baseline too.  Products are
-        taken row by row (``einsum``): a BLAS product may round a row
-        differently when other rows share the call."""
+    def _project(self, v) -> np.ndarray:
+        """Each row of v with the stratum dummies and the baseline projected
+        out.  Products are taken row by row (``einsum``): a BLAS product may
+        round a row differently when other rows share the call."""
         out = self._centre(v)
-        if with_x:
-            u = self.column("u")
-            out -= np.multiply.outer(np.einsum("ij,j->i", out, u), u)
+        u = self.column("u")
+        out -= np.multiply.outer(np.einsum("ij,j->i", out, u), u)
         return out
 
     def column(self, name: str) -> np.ndarray:
@@ -519,31 +521,60 @@ def _subgrids(counts):
 
 def _blocks(plan: PermutationPlan, batteries):
     """The plan's orbit, one block of draws at a time: per block, one
-    :class:`_Block` per battery, all cut from the same draws.  Each chunk of
-    draws is multiplied in for every battery as it is read, and not kept.
-    An exact orbit's crossed block is multiplied in whole and yielded as its
-    sub-grids (see :func:`_subgrids`), each replayed as aligned rows."""
+    :class:`_Block` per battery, all cut from the same draws.
+
+    A Monte-Carlo orbit is sampled once for every kind of row, in blocks of
+    :func:`~stratperm.randomization._sampled_blocks`, which cuts the
+    assignments from the permutations only when the tests need them; each
+    chunk is multiplied in for every battery as it is read, and not kept.
+    An exact orbit is walked one kind at a time, assignments first, once
+    each count the tests need is checked against the cap: each stratum's
+    orbit is enumerated once and multiplied in whole, and the crossed block
+    is yielded as its sub-grids (:func:`_subgrids`), each replayed as the
+    strata's rows of its draws, indexed in those enumerations.
+    """
+    layout = plan.layout
+    positions = layout.stratum_positions()
     rows = set().union(*(battery.needs for battery in batteries))
-    for chunks, replay in orbit_blocks(plan, assignments=_ASSIGNMENTS in rows,
-                                       permutations=bool(rows - {_ASSIGNMENTS})):
+
+    def multiplied(chunks, replay):
         blocks = [_Block(battery, replay) for battery in batteries]
         for j, _, treated, units in chunks:
             treated = None if treated is None else treated.astype(float)
             for block in blocks:
                 block.add(j, treated, units)
-        if plan.mode == "monte_carlo":
-            yield blocks
-            continue
+        return blocks
+
+    if plan.mode == "monte_carlo":
+        cut = layout.treated if _ASSIGNMENTS in rows else None
+        for chunks, replay in randomization._sampled_blocks(positions, plan.stream(),
+                                                            plan.draws, cut):
+            yield multiplied(chunks, replay)
+        return
+    orbits = {}  # the size of each orbit the tests need, assignments first
+    if _ASSIGNMENTS in rows:
+        orbits["assignments"] = count_assignments(layout)
+    if rows - {_ASSIGNMENTS}:
+        orbits["permutations"] = count_within_stratum_permutations(layout)
+    for what, count in orbits.items():
+        if count > DEFAULT_ENUMERATION_CAP:
+            raise ValueError(f"exact enumeration would produce {count} {what}, "
+                             f"over the cap of {DEFAULT_ENUMERATION_CAP}; use monte_carlo mode")
+    for what in orbits:
         # One chunk per stratum, listing the stratum's whole orbit.
-        counts = [(u if t is None else t).shape[0] for _, _, t, u in replay()]
+        strata = [(j, 0, enumerate_assignments(n, t), None) if what == "assignments"
+                  else (j, 0, None, pos[enumerate_within_stratum_permutations(n)])
+                  for j, (pos, n, t) in enumerate(zip(positions, layout.sizes, layout.treated))]
+        blocks = multiplied(strata, None)
+        counts = [len(units if treated is None else treated) for _, _, treated, units in strata]
         for grid in _subgrids(counts):
-            def sub_replay(replay=replay, grid=grid, counts=counts):
+            def replay(strata=strata, grid=grid, counts=counts):
                 at = np.meshgrid(*(np.arange(n)[g] for n, g in zip(counts, grid)), indexing="ij")
                 return ((j, 0, None if t is None else t[a.ravel()],
                          None if u is None else u[a.ravel()])
-                        for (j, _, t, u), a in zip(replay(), at))
+                        for (j, _, t, u), a in zip(strata, at))
 
-            yield [block.cut(grid, sub_replay) for block in blocks]
+            yield [block.cut(grid, replay) for block in blocks]
 
 
 class _Block:
@@ -560,8 +591,9 @@ class _Block:
     (:meth:`cut`) holds one kind and has one grid axis per stratum: stratum
     j's rows lie along grid axis j, and draw r is the grid point at r in C
     order, earlier strata slowest.  The draws themselves are not kept:
-    ``replay()`` reads the block's chunks again, each stratum's rows of the
-    block's draws in order (see :func:`~stratperm.randomization.orbit_blocks`).
+    ``replay()`` reads the block's chunks again, as (j, lo, treated, units):
+    each stratum's rows of the block's draws in order, as assignments or as
+    unit positions reordered within the stratum (see :func:`_blocks`).
     """
 
     def __init__(self, battery: _Battery, replay, dims: int = 1):
@@ -648,23 +680,20 @@ class _Block:
                 chosen if rows == _ASSIGNMENTS else values[chosen])
         return out
 
-    def permuted_side(self, rows: str, fixed: str, with_x: bool = True):
+    def permuted_side(self, rows: str, fixed: str):
         """FWL pieces of a regression test's permuted side v, per draw: v's
         cross product with the projected ``fixed`` column, and v's projected
-        sum of squares, a float shared by all draws when ``with_x`` is False
-        and no draw is projected explicitly.  Unless some draw is, ``dot`` is
+        sum of squares.  Unless some draw is projected explicitly, ``dot`` is
         the block's own total, which other tests read: it must not be
         written to."""
         battery = self.battery
         dot = self.total(rows, fixed)
         c = battery.centred_ss[rows]
-        # Without the baseline, every draw's sum of squares is c.
-        ss = c - self.total(rows, "u") ** 2 if with_x else c
-        cancelled = ss <= _CANCELLED * c
-        redo = np.nonzero(cancelled)[0] if with_x else np.arange(dot.size if cancelled else 0)
+        ss = c - self.total(rows, "u") ** 2
+        redo = np.nonzero(ss <= _CANCELLED * c)[0]
         if redo.size:
-            v = battery._project(self._rows(rows, redo), with_x)
-            dot, ss = dot.copy(), np.broadcast_to(ss, dot.shape).copy()
+            v = battery._project(self._rows(rows, redo))
+            dot = dot.copy()
             ss[redo] = np.einsum("ij,ij->i", v, v)
             dot[redo] = np.einsum("ij,j->i", v, battery.column(fixed))
         return dot, ss
@@ -854,9 +883,9 @@ def _kennedy(battery: _Battery) -> _Scored:
         t_obs, flags = _fit_t(eps, zc, df, math.sqrt(float(data.z.sum())))
 
     def null(block):
-        # Kennedy's nuisance columns are the stratum dummies alone.
-        dot, ss = block.permuted_side(_RESIDUALS, "zc", with_x=False)
-        return _fwl_t(dot, ss, resp_ss, df, eps_ss)
+        # Kennedy's nuisance columns are the stratum dummies alone, so every
+        # draw's permuted residuals keep e's sum of squares.
+        return _fwl_t(block.total(_RESIDUALS, "zc"), eps_ss, resp_ss, df, eps_ss)
 
     return _Scored("kennedy", t_obs, null, df=df, flags=flags, tie=_t_tie(t_obs, df))
 

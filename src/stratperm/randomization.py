@@ -8,28 +8,24 @@ the test battery:
 * within-stratum permutations -- reorderings of an arbitrary vector, n_j!
   per stratum (used by tests that shuffle residuals or outcomes).
 
-The test battery reads a plan's draws from :func:`orbit_blocks`, one block
-of draws at a time, each block split by stratum and read in row chunks, so
-that no (draws, units) matrix need exist.  A Monte-Carlo orbit is sampled
-once and serves both kinds: a uniform within-stratum permutation, cut at the
-stratum's treated count, is a uniform assignment.  It is drawn in blocks of
-1,024 draws from the plan's one stream, block after block and, within a
-block, stratum after stratum (:data:`DRAW_SCHEME`).  Each stratum's part of
-a block is drawn in chunks of at most 2^16 unit positions, into one buffer
-reused from chunk to chunk; ``Generator.permuted`` shuffles row by row, so
-the chunks are the rows of the whole block, drawn in the same stream order,
-and memory does not grow with the number of units.  Because the stream is
+A Monte-Carlo orbit is sampled once and serves both kinds: a uniform
+within-stratum permutation, cut at the stratum's treated count, is a uniform
+assignment.  It is drawn in blocks of 1,024 draws from the plan's one
+stream, block after block and, within a block, stratum after stratum
+(:data:`DRAW_SCHEME`), and read one block at a time (:func:`_sampled_blocks`),
+so that no (draws, units) matrix need exist.  Each stratum's part of a block
+is drawn in chunks of at most 2^16 unit positions, into one buffer reused
+from chunk to chunk; ``Generator.permuted`` shuffles row by row, so the
+chunks are the rows of the whole block, drawn in the same stream order, and
+memory does not grow with the number of units.  Because the stream is
 consumed in order, the first m blocks are the same whether or not later
 blocks are drawn, which is what lets a power study stop drawing early; a
 block is read again by replaying the stream from its state at the block's
-start.  An exact orbit is read one kind at a time, each kind as one
-crossed block of one chunk per stratum: each stratum's orbit enumerated
-once, on its own, by the per-stratum enumerators
-(:func:`enumerate_assignments`, :func:`enumerate_within_stratum_permutations`,
-in lexicographic order), with draw r the C-order combination of the strata's
-rows (earlier strata slowest), so the (orbit, units) matrices are never
-built.  How much of that grid is scored at once is the test battery's
-decision (:mod:`stratperm.hypothesis_tests`).
+start.  An exact orbit is enumerated one stratum at a time, by the
+per-stratum enumerators (:func:`enumerate_assignments`,
+:func:`enumerate_within_stratum_permutations`, in lexicographic order); how
+the test battery walks either orbit is its own decision
+(:mod:`stratperm.hypothesis_tests`).
 
 Randomness is derived, never passed around as global state: a master seed and
 an index tuple give an independent stream via ``SeedSequence`` spawn keys, so
@@ -56,7 +52,6 @@ __all__ = [
     "enumerate_assignments",
     "enumerate_within_stratum_permutations",
     "sample_assignments",
-    "orbit_blocks",
     "DRAW_SCHEME",
 ]
 
@@ -153,7 +148,7 @@ class PermutationPlan:
     of 1,024 draws.  Every test run with one plan sees the same draws; in
     monte_carlo mode the assignments are cut from the sampled within-stratum
     permutations, and the first blocks do not depend on how many follow (see
-    :func:`orbit_blocks`).
+    :func:`_sampled_blocks`).
     """
 
     layout: StratumLayout
@@ -192,29 +187,39 @@ def _chunk_rows(n: int, draws: int) -> int:
     return min(draws, max(1, _CHUNK_UNITS // n))
 
 
-def _drawn_chunks(positions, stream: np.random.Generator, draws: int, buffer):
+def _drawn_chunks(positions, stream: np.random.Generator, draws: int, buffer, treated):
     """``draws`` uniform reorderings of each stratum's unit positions, drawn
-    from ``stream`` stratum after stratum in row chunks: yields (j, lo,
+    from ``stream`` stratum after stratum in row chunks: yields (j, lo, cut,
     units), where ``units`` is a view on ``buffer`` holding rows lo, lo + 1,
     ... of stratum j's (draws, n_j) reorderings, overwritten by the next
-    chunk."""
+    chunk, and ``cut`` is None unless ``treated`` gives the strata's treated
+    counts t_j.  Then it is the chunk's assignments: positions ascend, so
+    ``units < pos[t_j]`` marks the units that receive the stratum's first
+    t_j units, which is a uniform assignment."""
     for j, pos in enumerate(positions):
         rows = _chunk_rows(pos.size, draws)
+        first = None if treated is None else pos[treated[j]]
         for lo in range(0, draws, rows):
             units = buffer[:min(rows, draws - lo) * pos.size].reshape(-1, pos.size)
             units[:] = pos
             stream.permuted(units, axis=1, out=units)
-            yield j, lo, units
+            yield j, lo, None if first is None else units < first, units
 
 
-def _sampled_blocks(positions, stream: np.random.Generator, draws: int):
+def _sampled_blocks(positions, stream: np.random.Generator, draws: int, treated=None):
     """``draws`` uniform reorderings of each stratum's unit positions, in
     blocks of at most ``_BLOCK_DRAWS``, drawn from ``stream`` block after
-    block.  Per block, yields (chunks, replay): ``chunks`` draws the block's
-    chunks from ``stream`` (see :func:`_drawn_chunks`), and ``replay()``
-    draws them again, from the stream's state at the block's start.  Chunks
-    the caller leaves unread are drawn before the next block, so the stream
-    is consumed in order."""
+    block in the order of :data:`DRAW_SCHEME`.
+
+    Per block, yields (chunks, replay).  ``chunks`` draws the block's chunks
+    from ``stream``, strata in order and each stratum's rows in order, as
+    (j, lo, cut, units) (see :func:`_drawn_chunks`): a chunk of stratum j
+    has max(1, 2^16 // n_j) rows, or what is left of the block, and is
+    valid until the next one is read.  ``replay()`` reads the block's chunks
+    again, from the stream's state at the block's start, and leaves
+    ``stream`` alone.  Chunks the caller leaves unread are drawn before the
+    next block, so the stream is consumed in order and the first blocks do
+    not depend on how many follow."""
     first = min(draws, _BLOCK_DRAWS)
     buffer = np.empty(max(_chunk_rows(pos.size, first) * pos.size for pos in positions),
                       dtype=np.intp)
@@ -226,9 +231,9 @@ def _sampled_blocks(positions, stream: np.random.Generator, draws: int):
             again = type(stream.bit_generator)()
             again.state = state
             return _drawn_chunks(positions, np.random.Generator(again), size,
-                                 np.empty_like(buffer))
+                                 np.empty_like(buffer), treated)
 
-        chunks = _drawn_chunks(positions, stream, size, buffer)
+        chunks = _drawn_chunks(positions, stream, size, buffer, treated)
         yield chunks, replay
         collections.deque(chunks, maxlen=0)
 
@@ -267,72 +272,7 @@ def sample_assignments(
     out = np.empty((draws, layout.n_units), dtype=np.int8)
     positions = layout.stratum_positions()
     for start, (chunks, _) in zip(range(0, draws, _BLOCK_DRAWS),
-                                  _sampled_blocks(positions, stream, draws)):
-        for j, lo, units in chunks:
-            pos = positions[j]
-            out[start + lo:start + lo + units.shape[0], pos] = units < pos[layout.treated[j]]
+                                  _sampled_blocks(positions, stream, draws, layout.treated)):
+        for j, lo, cut, _ in chunks:
+            out[start + lo:start + lo + cut.shape[0], positions[j]] = cut
     return out
-
-
-def orbit_blocks(plan: PermutationPlan, assignments: bool = True,
-                 permutations: bool = True):
-    """The draws of one plan, one block of draws at a time, each block read
-    stratum by stratum in row chunks.
-
-    Per block, yields (chunks, replay).  ``chunks`` yields (j, lo, treated,
-    units) for consecutive row chunks of stratum j, strata in order: the
-    stratum's rows lo, lo + 1, ... of the block as two (rows, n_j) arrays,
-    where draw b treats the unit at ``pos[i]`` where ``treated[b, i]``, and
-    ``values[units[b]]`` is draw b's reordering of ``values[pos]``, with
-    ``pos`` the stratum's unit positions.  ``treated`` is None unless
-    ``assignments``, and ``units`` unless ``permutations``.  ``replay()``
-    returns a new iterator over the same chunks.  A chunk is valid until
-    the next one is read.
-
-    Monte-Carlo blocks hold at most 1,024 draws, drawn from ``plan.stream()``
-    in the order of :data:`DRAW_SCHEME`, in chunks of at most 2^16 unit
-    positions: a chunk of stratum j has max(1, 2^16 // n_j) rows, or what
-    is left of the block.  ``treated`` is cut from ``units``, sampled once,
-    as :func:`sample_assignments` cuts its rows: positions ascend, so
-    ``units < pos[t_j]`` marks the units that receive the stratum's first
-    t_j units.  Nothing of a block is kept once its chunks are read; its
-    replay draws them again from the stream's state at the block's start.
-
-    An exact plan yields one crossed block per kind, once each wanted
-    orbit's count is checked against ``DEFAULT_ENUMERATION_CAP``: first the
-    assignments, whose stratum j has ``treated`` =
-    ``enumerate_assignments(n_j, t_j)`` and ``units`` None, then the
-    permutations, whose stratum j has ``treated`` None and ``units`` =
-    ``pos`` reordered by ``enumerate_within_stratum_permutations(n_j)``, so
-    C(n_j, t_j) and n_j! rows, one chunk per stratum.  The two orbits have
-    different sizes, so each is walked on its own.  Draw r of an orbit
-    combines row r_j of every stratum, where (r_1, ..., r_J) is r unravelled
-    in C order over those row counts (earlier strata slowest); no (orbit,
-    units) matrix is built.
-    """
-    layout = plan.layout
-    positions = layout.stratum_positions()
-    if plan.mode == "monte_carlo":
-        def cut(chunks):
-            for j, lo, units in chunks:
-                pos = positions[j]
-                yield (j, lo, units < pos[layout.treated[j]] if assignments else None,
-                       units if permutations else None)
-
-        for chunks, replay in _sampled_blocks(positions, plan.stream(), plan.draws):
-            yield cut(chunks), lambda replay=replay: cut(replay())
-        return
-    for wanted, count, what in ((assignments, count_assignments, "assignments"),
-                                (permutations, count_within_stratum_permutations, "permutations")):
-        if wanted and count(layout) > DEFAULT_ENUMERATION_CAP:
-            raise ValueError(f"exact enumeration would produce {count(layout)} {what}, "
-                             f"over the cap of {DEFAULT_ENUMERATION_CAP}; use monte_carlo mode")
-    strata = list(enumerate(zip(positions, layout.sizes, layout.treated)))
-    if assignments:
-        block = [(j, 0, enumerate_assignments(n, t), None) for j, (_, n, t) in strata]
-        yield iter(block), lambda block=block: iter(block)
-    if permutations:
-        block = [(j, 0, None, pos[enumerate_within_stratum_permutations(n)])
-                 for j, (pos, n, _) in strata]
-        yield iter(block), lambda block=block: iter(block)
-

@@ -72,8 +72,9 @@ def _csv_text(rows) -> str:
 
 
 def _json_text(payload) -> str:
-    """``payload`` as the indented, key-sorted JSON every output file uses."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``payload`` as the indented, key-sorted JSON every output file uses;
+    NaN and infinities, which strict JSON has no words for, are refused."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _engine_provenance() -> dict:
@@ -355,9 +356,11 @@ def summarize_by_arm(dataset: TrialDataset) -> list:
     return out
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
+    """The correlation of a and b, None where it is undefined (a constant
+    column, or fewer than 2 units), which JSON writes as null."""
     if a.size < 2 or a.std() == 0.0 or b.std() == 0.0:
-        return float("nan")
+        return None
     return float(np.corrcoef(a, b)[0, 1])
 
 
@@ -376,7 +379,7 @@ def baseline_outcome_correlation(dataset: TrialDataset) -> list:
             mask = data.strata == j
             per_stratum.append(_pearson(data.x[mask], data.y[mask]))
         flags = []
-        if np.isnan(pooled):
+        if pooled is None:
             flags.append("degenerate")
         elif pooled < CORRELATION_ADVISORY_THRESHOLD:
             flags.append("weak_baseline_correlation")
@@ -552,8 +555,9 @@ def format_report_text(report: AnalysisReport) -> str:
         f"arms: control={prov['control_label']} treated={prov['treated_label']}"
     )
     lines.append("")
-    width = max(len(r["endpoint"]) for r in report.rows) if report.rows else 8
-    mwidth = max((len(r["method"]) for r in report.rows), default=6)
+    # Each column is as wide as its header or its widest entry.
+    width = max(map(len, ["endpoint", *(r["endpoint"] for r in report.rows)]))
+    mwidth = max(map(len, ["method", *(r["method"] for r in report.rows)]))
     lines.append(
         f"{'endpoint':<{width}}  {'method':<{mwidth}}  {'statistic':>10}  {'p':>6}"
     )

@@ -1,12 +1,12 @@
 """Whole orbits stacked into one matrix: the tests' reference.
 
 The package never builds a (draws, units) matrix of assignments or
-permutations; its test battery reads a plan's draws block by block from
-:func:`stratperm.randomization.orbit_blocks`, and enumerates an exact orbit
-one stratum at a time.  This module builds the same orbits the explicit way,
-from ``itertools`` and a layout's stratum positions alone, so that the block
-reader and the oracle tests can be checked against it.  It imports nothing
-from the package.
+permutations; its test battery walks a plan's orbit block by block, sampling
+a Monte-Carlo orbit in chunks and enumerating an exact orbit one stratum at
+a time (``stratperm.hypothesis_tests._blocks``).  This module builds the
+same orbits the explicit way, from ``itertools`` and a layout's stratum
+positions alone, so that the walk and the oracle tests can be checked
+against it.  It imports nothing from the package.
 """
 
 from __future__ import annotations

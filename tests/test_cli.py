@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
+import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import pytest
 
 from stratperm.cli import main
 from stratperm.randomization import DRAW_SCHEME
-from stratperm.reporting import TrialDataset, write_trial_csv
+from stratperm.reporting import TrialDataset, _json_text, write_trial_csv
 
 # Subprocesses import the package from this checkout's src/, as the tests do.
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -274,6 +276,68 @@ def test_analyze_constant_stratum_baseline_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _flat_csv(tmp_path, constant, name="gerd"):
+    """A 12-subject trial whose outcome is constant everywhere, in stratum
+    'a' alone, or nowhere."""
+    rng = np.random.default_rng(12)
+    strata = np.repeat(["a", "b"], 6)
+    z = np.tile([1, 0], 6).astype(np.int8)
+    x = rng.normal(size=12)
+    y = x + rng.normal(size=12)
+    if constant:
+        y = np.where(strata == "a", 2.0, y) if constant == "stratum" else np.full(12, 2.0)
+    path = tmp_path / "flat.csv"
+    write_trial_csv(TrialDataset.build(strata, z, {name: x}, {name: y}), path)
+    return path
+
+
+@pytest.mark.parametrize("constant", ["everywhere", "stratum"])
+def test_an_undefined_correlation_is_null_in_strict_json(tmp_path, constant):
+    # A constant outcome has no correlation with the baseline: the report
+    # holds null, not NaN, which a strict JSON parser refuses.
+    out = tmp_path / "report.json"
+    path = _flat_csv(tmp_path, constant)
+    assert main(["analyze", "--input", str(path), "--permutations", "99", "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    (corr,) = json.loads(out.read_text(), parse_constant=refuse)["correlations"]
+    assert corr["per_stratum_r"][0] is None
+    if constant == "everywhere":
+        assert corr["pooled_r"] is None and corr["per_stratum_r"] == [None, None]
+        assert corr["flags"] == ["degenerate"]
+    else:
+        assert isinstance(corr["pooled_r"], float) and "degenerate" not in corr["flags"]
+        assert isinstance(corr["per_stratum_r"][1], float)
+    # No output file can hold NaN or an infinity.
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _json_text({"r": float("nan")})
+
+
+def _column_ends(text, header, column):
+    """Where column ``column`` (0-based, by whitespace) ends on the table's
+    header line and on each row after it, up to the first blank line."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    table = itertools.takewhile(bool, lines[start:])
+    return [list(re.finditer(r"\S+", line))[column].end() for line in table]
+
+
+@pytest.mark.parametrize("argv,column", [
+    (["analyze"], 3),
+    (["analyze", "--methods", "manly"], 3),
+    (["diagnose"], 2),
+], ids=["analyze", "manly", "diagnose"])
+def test_tables_stay_aligned_under_a_wider_header(tmp_path, capsys, argv, column):
+    # Endpoint 'a' and method 'manly' are narrower than their headers.
+    path = _flat_csv(tmp_path, None, name="a")
+    assert main([*argv, "--input", str(path), "--permutations", "99"]) == 0
+    ends = _column_ends(capsys.readouterr().out, "endpoint", column)
+    assert len(ends) == (2 if argv[1:] or argv[0] == "diagnose" else 5)
+    assert len(set(ends)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,32 @@ def test_from_arrays_rejects_single_arm_stratum():
 def test_from_arrays_rejects_non_finite_and_bad_z():
     strata = np.array([0, 0, 1, 1])
     z = np.array([1, 0, 1, 0])
+    with pytest.raises(ValueError, match="baseline"):
+        TrialData.from_arrays(strata, z, np.array([0.0, np.inf, 0, 0]), np.zeros(4))
     with pytest.raises(ValueError, match="outcome"):
         TrialData.from_arrays(strata, z, np.zeros(4), np.array([1.0, np.nan, 0, 0]))
     with pytest.raises(ValueError, match="0 and 1"):
         TrialData.from_arrays(strata, np.array([1, 2, 1, 0]), np.zeros(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("strata,z,length,match", [
+    ([0, 0, 1, 1], [1, 0, 1, 0], 3, "x must be one-dimensional with length 4"),
+    ([[0, 0], [1, 1]], [1, 0, 1, 0], 4, "z must be one-dimensional with length -1"),
+    ([0, 0, 0], [1, 0, 1], 3, "at least 4 units"),
+], ids=["length", "strata-shape", "three-units"])
+def test_from_arrays_rejects_mismatched_lengths_and_tiny_trials(strata, z, length, match):
+    with pytest.raises(ValueError, match=match):
+        TrialData.from_arrays(np.array(strata), np.array(z), np.zeros(length), np.zeros(length))
+
+
+def test_regression_tests_need_more_units_than_design_columns():
+    # Two strata of one treated and one control unit: 4 units, and 4 columns
+    # (2 stratum intercepts, the baseline and the treatment).
+    data = TrialData.from_arrays([0, 0, 1, 1], [1, 0, 1, 0], [0.1, 0.4, 0.2, 0.9],
+                                 [1.0, 2.0, 0.5, 0.3])
+    for method in ("ancova", "lm_permutation", "freedman_lane"):
+        with pytest.raises(ValueError, match=r"more units \(4\) than design columns \(4\)"):
+            METHODS[method](data, exact_plan(data))
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ def test_the_benchmark_tracer_wraps_and_restores_the_package(monkeypatch):
         tracer.uninstall()
     assert patched
     assert exact.p_value.draws == 576 and sampled["lm_permutation"].p_value.draws == 50
-    assert {"hypothesis_tests.run_trial", "randomization.orbit_blocks"} <= {
+    assert {"hypothesis_tests.run_trial",
+            "randomization.enumerate_within_stratum_permutations"} <= {
         span.name for span in tracer.spans}
     assert [[name for name, value in old.items() if namespace.get(name) is not value]
             for namespace, old in zip(namespaces, before)] == [[] for _ in namespaces]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratperm import hypothesis_tests
+from stratperm import hypothesis_tests, randomization
 from stratperm.hypothesis_tests import (
     METHODS,
     PValue,
@@ -30,7 +30,6 @@ from stratperm.randomization import (
     derive_stream,
     enumerate_assignments,
     enumerate_within_stratum_permutations,
-    orbit_blocks,
     sample_assignments,
 )
 
@@ -209,7 +208,7 @@ def _exact_trial(sizes, treated):
     return data, PermutationPlan(layout=data.layout, mode="exact")
 
 
-def test_enumeration_cap_reports_count():
+def test_enumeration_cap_reports_count(monkeypatch):
     # The cap applies to the whole orbit a plan's tests need: 924^2
     # assignments are under it, (12!)^2 permutations and 12870^2
     # assignments are not.
@@ -218,6 +217,10 @@ def test_enumeration_cap_reports_count():
     assert result.p_value.draws == 924 ** 2 == 853_776
     with pytest.raises(ValueError, match="229442532802560000 permutations.*monte_carlo"):
         METHODS["freedman_lane"](data, plan)
+    # Every orbit the tests need is checked before any is enumerated.
+    monkeypatch.setattr(hypothesis_tests, "enumerate_assignments", None)
+    with pytest.raises(ValueError, match="229442532802560000 permutations"):
+        hypothesis_tests.run_trial([data], plan, ["stratified_diff_means", "freedman_lane"])
     data, plan = _exact_trial((16, 16), (8, 8))
     with pytest.raises(ValueError, match=f"{12870 ** 2} assignments.*monte_carlo"):
         METHODS["stratified_diff_means"](data, plan)
@@ -315,62 +318,81 @@ def _stacked(blocks, n_strata, k):
             for j in range(n_strata)]
 
 
-@pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
-def test_orbit_blocks_are_the_columns_of_the_full_draws(mode, monkeypatch):
-    plan = PermutationPlan(layout=INTERLEAVED, mode=mode, draws=2500, master_seed=8)
+def _sampled(layout, seed, draws, treated=True):
+    """The blocks of ``draws`` sampled for ``layout`` from seed's stream,
+    cut into assignments unless ``treated`` is False."""
+    return randomization._sampled_blocks(layout.stratum_positions(), derive_stream(seed), draws,
+                                         layout.treated if treated else None)
+
+
+def test_sampled_blocks_are_the_columns_of_the_full_draws():
     positions = INTERLEAVED.stratum_positions()
-    blocks = _read(orbit_blocks(plan))
-    for block in blocks:
-        # Strata in order, each stratum's chunks in row order.
-        assert [j for j, *_ in block] == sorted(j for j, *_ in block)
-        for j, lo, treated, units in block:
-            assert units is None or np.all(np.sort(units, axis=1) == positions[j])
-    if mode == "exact":
-        # One crossed block per kind, assignments first, of one chunk per
-        # stratum: each stratum's orbit once, from the per-stratum
-        # enumerators.  Draw r combines the strata's rows in C order,
-        # earlier strata slowest, which is the reference enumeration's order.
-        assignments, permutations = blocks
-        assert [(j, lo, u) for j, lo, _, u in assignments] == [(0, 0, None), (1, 0, None),
-                                                               (2, 0, None)]
-        assert [(j, lo, t) for j, lo, t, _ in permutations] == [(0, 0, None), (1, 0, None),
-                                                                (2, 0, None)]
-        for j, n, t in zip(range(3), INTERLEAVED.sizes, INTERLEAVED.treated):
-            np.testing.assert_array_equal(assignments[j][2], enumerate_assignments(n, t))
-            np.testing.assert_array_equal(
-                permutations[j][3], positions[j][enumerate_within_stratum_permutations(n)])
-        # Per kind, the sub-grids the battery scores, stacked in order, are
-        # the whole orbit, and none holds more than the bound: one sub-grid
-        # at the default bound, 6 and 48 at a bound of 7.
-        for bound, cuts in ((hypothesis_tests._EXACT_BLOCK_DRAWS, (1, 1)), (7, (6, 48))):
-            monkeypatch.setattr(hypothesis_tests, "_EXACT_BLOCK_DRAWS", bound)
-            for full, block, k, count in ((all_assignments(INTERLEAVED) == 1, assignments, 2,
-                                           cuts[0]),
-                                          (all_within_stratum_permutations(INTERLEAVED),
-                                           permutations, 3, cuts[1])):
-                strata = [c[k] for c in block]
-                grids = list(_subgrids([rows.shape[0] for rows in strata]))
-                assert len(grids) == count
-                stacked = [[] for _ in strata]
-                for grid in grids:
-                    parts = [rows[g] for rows, g in zip(strata, grid)]
-                    at = np.unravel_index(np.arange(math.prod(p.shape[0] for p in parts)),
-                                          [p.shape[0] for p in parts])
-                    assert at[0].size <= bound
-                    for out, part, rows in zip(stacked, parts, at):
-                        out.append(part[rows])
-                for pos, out in zip(positions, stacked):
-                    np.testing.assert_array_equal(full[:, pos], np.concatenate(out))
-        return
-    z = sample_assignments(INTERLEAVED, plan.stream(), 2500)
-    perms = sample_within_stratum_permutations(INTERLEAVED, plan.stream(), 2500)
-    # Monte-Carlo blocks hold at most 1,024 draws, block-major; strata this
-    # small are one chunk per block.
+    blocks = _read(_sampled(INTERLEAVED, 8, 2500))
+    z = sample_assignments(INTERLEAVED, derive_stream(8), 2500)
+    perms = sample_within_stratum_permutations(INTERLEAVED, derive_stream(8), 2500)
+    # Blocks hold at most 1,024 draws, block-major, strata in order; strata
+    # this small are one chunk per block.
     assert [[(j, lo, t.shape[0], u.shape[0]) for j, lo, t, u in b] for b in blocks] == [
         [(j, 0, size, size) for j in range(3)] for size in (1024, 1024, 452)]
     for pos, treated, units in zip(positions, _stacked(blocks, 3, 2), _stacked(blocks, 3, 3)):
+        assert np.all(np.sort(units, axis=1) == pos)
         np.testing.assert_array_equal(treated, z[:, pos] == 1)
         np.testing.assert_array_equal(units, perms[:, pos])
+    # Without treated counts no assignment is cut, and the draws stay the same.
+    unc = _read(_sampled(INTERLEAVED, 8, 2500, treated=False))
+    assert all(t is None for block in unc for _, _, t, _ in block)
+    for units, again in zip(_stacked(blocks, 3, 3), _stacked(unc, 3, 3)):
+        np.testing.assert_array_equal(units, again)
+
+
+def _exact_walk(layout, methods):
+    """The sub-grids the battery scores on an exact plan of ``layout``, each
+    as (kind, draws of its replay stacked into (draws, n_units) rows)."""
+    z = np.zeros(layout.n_units, dtype=np.int8)
+    for pos, t in zip(layout.stratum_positions(), layout.treated):
+        z[pos[:t]] = 1
+    rng = np.random.default_rng(3)
+    data = TrialData.from_arrays(layout.codes, z, rng.normal(size=z.size),
+                                 rng.normal(size=z.size))
+    plan = PermutationPlan(layout=data.layout, mode="exact")
+    battery = hypothesis_tests._Battery(data, plan, methods)
+    out = []
+    for (block,) in hypothesis_tests._blocks(plan, [battery]):
+        kind = "assignments" if block.holds("lm_permutation") else "permutations"
+        parts = list(block.replay())
+        rows = np.zeros((parts[0][2 if kind == "assignments" else 3].shape[0], layout.n_units))
+        for (j, lo, treated, units), pos in zip(parts, layout.stratum_positions()):
+            assert lo == 0 and (treated is None) == (kind == "permutations")
+            rows[:, pos] = treated if units is None else units
+        out.append((kind, rows))
+    return out
+
+
+def test_exact_subgrids_replay_the_whole_orbit_in_order(monkeypatch):
+    # Per kind, assignments first, the sub-grids' replays stacked in order
+    # are the whole orbit in the reference's order (earlier strata slowest),
+    # and none holds more than the bound: one sub-grid per kind at the
+    # default bound, 6 and 48 at a bound of 7.  Each stratum's orbit is
+    # enumerated once, whatever the number of sub-grids.
+    calls = []
+    for name in ("enumerate_assignments", "enumerate_within_stratum_permutations"):
+        def counted(*args, _fn=getattr(hypothesis_tests, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(hypothesis_tests, name, counted)
+    for bound, cuts in ((hypothesis_tests._EXACT_BLOCK_DRAWS, (1, 1)), (7, (6, 48))):
+        monkeypatch.setattr(hypothesis_tests, "_EXACT_BLOCK_DRAWS", bound)
+        calls.clear()
+        walk = _exact_walk(INTERLEAVED, ["lm_permutation", "freedman_lane"])
+        assert calls == (["enumerate_assignments"] * 3
+                         + ["enumerate_within_stratum_permutations"] * 3)
+        assert [kind for kind, _ in walk] == (["assignments"] * cuts[0]
+                                              + ["permutations"] * cuts[1])
+        assert max(rows.shape[0] for _, rows in walk) <= bound
+        for kind, full in (("assignments", all_assignments(INTERLEAVED)),
+                           ("permutations", all_within_stratum_permutations(INTERLEAVED))):
+            np.testing.assert_array_equal(
+                np.concatenate([rows for k, rows in walk if k == kind]), full)
 
 
 @pytest.mark.parametrize("counts,bound,sizes", [
@@ -390,18 +412,17 @@ def test_subgrids_are_contiguous_runs_of_the_orbit(counts, bound, sizes, monkeyp
     np.testing.assert_array_equal(np.concatenate(runs), draws.ravel())
 
 
-def test_chunked_draws_equal_the_reference(monkeypatch):
-    plan = PermutationPlan(layout=CHUNKED, draws=2500, master_seed=21)
+def test_chunked_draws_equal_the_reference():
     positions = CHUNKED.stratum_positions()
-    reference = plan.stream()
+    reference = derive_stream(21)
     perms = sample_within_stratum_permutations(CHUNKED, reference, 2500)
-    stream = plan.stream()
-    monkeypatch.setattr(PermutationPlan, "stream", lambda self, *key: stream)
+    stream = derive_stream(21)
     read, replays = [], []
-    for chunks, replay in orbit_blocks(plan):
+    for chunks, replay in randomization._sampled_blocks(positions, stream, 2500,
+                                                        CHUNKED.treated):
         read.append(_copied(chunks))
         replays.append(replay)
-    # The stream after the plan gives the reference's next draw.
+    # The stream after the draws gives the reference's next draw.
     assert stream.integers(2**62) == reference.integers(2**62)
     assert [[(j, lo, u.shape[0]) for j, lo, _, u in b] for b in read] == [
         [(0, 0, 327), (0, 327, 327), (0, 654, 327), (0, 981, 43),
@@ -412,7 +433,8 @@ def test_chunked_draws_equal_the_reference(monkeypatch):
     z = sample_assignments(CHUNKED, derive_stream(21), 2500)
     for pos, treated in zip(positions, _stacked(read, 3, 2)):
         np.testing.assert_array_equal(treated, z[:, pos] == 1)
-    # A replay reads the block's chunks again and leaves the stream alone.
+    # A replay reads the block's chunks again, cut included, and leaves the
+    # stream alone.
     after = stream.bit_generator.state
     for replay, first in zip(replays, read):
         assert len(_copied(replay())) == len(first)
@@ -424,12 +446,10 @@ def test_chunked_draws_equal_the_reference(monkeypatch):
 
 
 def test_first_blocks_do_not_depend_on_the_draw_count():
-    # One stream consumed in order: a plan of 1,500 draws begins with the
-    # draws of a plan of 1,024, and ends with a block of 476.
+    # One stream consumed in order: 1,500 draws begin with the draws of
+    # 1,024, and end with a block of 476.
     for layout in (CONTIGUOUS, CHUNKED):
-        short = PermutationPlan(layout=layout, draws=1024, master_seed=9)
-        long = PermutationPlan(layout=layout, draws=1500, master_seed=9)
-        (first,), blocks = _read(orbit_blocks(short)), _read(orbit_blocks(long))
+        (first,), blocks = _read(_sampled(layout, 9, 1024)), _read(_sampled(layout, 9, 1500))
         assert [sum(u.shape[0] for j, _, _, u in b if j == 0) for b in blocks] == [1024, 476]
         assert len(first) == len(blocks[0])
         for (j_a, lo_a, t_a, u_a), (j_b, lo_b, t_b, u_b) in zip(first, blocks[0]):

@@ -139,6 +139,22 @@ def test_load_lists_bad_cells_with_line_numbers(tmp_path):
     assert "line 7" in str(info.value)
 
 
+def test_load_skips_blank_rows(tmp_path):
+    # An empty line, or a row of empty or blank fields, is no record, and the
+    # lines after it keep their numbers.
+    body = basic_rows().split("\n")
+    plain = load_trial_csv(write_csv(tmp_path, "\n".join(body)))
+    body[3:3] = ["", ",,,,", " ,\t"]
+    spaced = load_trial_csv(write_csv(tmp_path, "\n".join(body), name="spaced.csv"))
+    assert spaced.subjects == plain.subjects
+    for name in ("x", "y", "z", "strata"):
+        np.testing.assert_array_equal(getattr(spaced.endpoints["pain"], name),
+                                      getattr(plain.endpoints["pain"], name))
+    body[7] = body[7].replace(body[7].split(",")[3], "n/a", 1)
+    with pytest.raises(TrialDataError, match=r"1 missing .* line 9 \(baseline_pain\)"):
+        load_trial_csv(write_csv(tmp_path, "\n".join(body), name="bad.csv"))
+
+
 def test_load_lists_at_most_ten_repeated_subject_ids(tmp_path):
     # Lines 4 to 15 repeat the subject id of line 2: twelve repeats.
     body = basic_rows().split("\n")
@@ -482,22 +498,25 @@ def test_each_command_draws_the_orbit_once_per_trial(tmp_path, monkeypatch, caps
     sampled_blocks = randomization._sampled_blocks
 
     def counted(chunks, rows):
-        for j, lo, units in chunks:
+        for j, lo, cut, units in chunks:
             rows[j] += units.shape[0]
-            yield j, lo, units
+            yield j, lo, cut, units
 
-    def counting(positions, stream, draws):
-        # Rows read from the stream per stratum, over every chunk.
+    def counting(positions, stream, draws, treated=None):
+        # Rows read from the stream per stratum, over every chunk, and
+        # whether assignments are cut from them.
         rows = [0] * len(positions)
-        calls.append(rows)
-        for chunks, replay in sampled_blocks(positions, stream, draws):
+        calls.append((rows, treated is not None))
+        for chunks, replay in sampled_blocks(positions, stream, draws, treated):
             yield counted(chunks, rows), replay
 
     monkeypatch.setattr(randomization, "_sampled_blocks", counting)
     assert main([*command, "--input", str(path), "--permutations", "2500"]) == 0
     assert len(calls) == draws_made
-    for rows in calls:
+    for rows, cut in calls:
         assert rows == [2500] * len(rows)
+        # The diagnostic shuffles residuals alone: no assignment is cut.
+        assert cut == (command[0] != "diagnose")
 
 
 @pytest.mark.parametrize("other", [
