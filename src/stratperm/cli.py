@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 
 import numpy as np
@@ -127,6 +129,10 @@ def _cmd_simulate(args) -> int:
         seeded.append(cfg)
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
+    # A missing output directory is found before the study runs, not after.
+    for path in (args.out, args.json):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, "no such directory", path)
     results = []
     for cfg in seeded:
         res = run_power_study(cfg, workers=args.workers)

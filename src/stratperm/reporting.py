@@ -58,9 +58,12 @@ def _atomic_write(path, text: str) -> None:
     """Write ``text`` to a sibling temporary file, then rename it over ``path``,
     so readers never see a half-written file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as err:  # named by the path the caller gave, not by tmp
+        raise OSError(err.errno, err.strerror, str(path)) from err
 
 
 def _csv_text(rows) -> str:
@@ -527,10 +530,13 @@ def run_analysis(
 
 
 def report_to_json(report: AnalysisReport) -> str:
+    """The whole report as JSON text, every value at full precision."""
     return _json_text(dataclasses.asdict(report))
 
 
 def report_to_csv(report: AnalysisReport) -> str:
+    """CSV text with one row per (endpoint, test), statistics and p-values at
+    full precision."""
     rows = [["endpoint", "method", "statistic", "p_value", "p_mode", "draws",
              "exceedances", "df", "flags"]]
     for row in report.rows:
@@ -555,17 +561,19 @@ def format_report_text(report: AnalysisReport) -> str:
         f"arms: control={prov['control_label']} treated={prov['treated_label']}"
     )
     lines.append("")
-    # Each column is as wide as its header or its widest entry.
+    # Each column is as wide as its header or its widest entry, and at least 10 for statistics.
     width = max(map(len, ["endpoint", *(r["endpoint"] for r in report.rows)]))
     mwidth = max(map(len, ["method", *(r["method"] for r in report.rows)]))
+    stats = [f"{r['statistic']:.4f}" for r in report.rows]
+    swidth = max([10, *map(len, stats)])
     lines.append(
-        f"{'endpoint':<{width}}  {'method':<{mwidth}}  {'statistic':>10}  {'p':>6}"
+        f"{'endpoint':<{width}}  {'method':<{mwidth}}  {'statistic':>{swidth}}  {'p':>6}"
     )
-    for row in report.rows:
+    for row, stat in zip(report.rows, stats):
         note = " " + ";".join(row["flags"]) if row["flags"] else ""
         lines.append(
             f"{row['endpoint']:<{width}}  {row['method']:<{mwidth}}  "
-            f"{row['statistic']:>10.4f}  {row['p_value']:>6.3f}{note}"
+            f"{stat:>{swidth}}  {row['p_value']:>6.3f}{note}"
         )
     notes = []
     for corr in report.correlations:

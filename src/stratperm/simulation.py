@@ -1,10 +1,14 @@
 """Data-generating processes and the replication engine for power studies.
 
-Each scenario draws a stratified population from a latent log-scale variable,
-assigns treatment within strata, runs the requested tests, and tallies
-rejection rates.  Replication r derives all of its randomness from
-(master_seed, r), so the same seed gives bit-identical results no matter how
-replications are scheduled across worker processes.
+Each scenario draws a stratified population from a latent log-scale variable
+v, assigns treatment within strata, runs the requested tests, and tallies
+rejection rates.  With effect size g, the three families are continuous, X =
+(-g e^v + e^{v/2})/2 + eps and Y(z) = ((2z-1) g e^v + e^{v/2})/2 + delta;
+discrete, the same X, Y(0), Y(1) truncated toward zero; and nonlinear, X =
+(e^v + e^{v/2})/2 + eps and Y(z) = (1+g)^z X + delta.  Replication r derives
+all of its randomness from (master_seed, r), so the same seed gives
+bit-identical results no matter how replications are scheduled across worker
+processes.
 
 A power study needs only whether each p-value is at most alpha, so a
 replication stops drawing once no remaining draw can change any test's
@@ -42,9 +46,6 @@ __all__ = [
     "PowerStudyResult",
     "draw_latent",
     "draw_error",
-    "generate_continuous_population",
-    "generate_discrete_population",
-    "generate_nonlinear_population",
     "generate_population",
     "run_power_study",
     "power_ratio_table",
@@ -236,92 +237,42 @@ def draw_error(dist: str, size: int, stream: np.random.Generator, x=None):
     raise ValueError(f"unknown error distribution {dist!r}")
 
 
-def _draw_v(config: ScenarioConfig, stream: np.random.Generator) -> np.ndarray:
+def generate_population(config: ScenarioConfig, stream: np.random.Generator) -> Population:
+    """One population of ``config.family``, drawn from ``stream``.
+
+    v is drawn stratum by stratum (:func:`draw_latent`), then eps, then delta
+    (:func:`draw_error`).  Both errors follow ``config.error_dist``, except
+    that under ``heteroskedastic_normal`` eps stays N(0, 1) and only delta's
+    sd depends on |x|.  With g = ``config.gamma``, the families are:
+
+    * continuous: X = (-g e^v + e^{v/2})/2 + eps and Y(z) = ((2z-1) g e^v +
+      e^{v/2})/2 + delta, so Y(z) = g e^v z + X + (delta - eps), an additive
+      effect g e^v with the baseline entering at coefficient one;
+    * discrete: the continuous X, Y(0) and Y(1), truncated toward zero;
+    * nonlinear: X = (e^v + e^{v/2})/2 + eps and Y(z) = (1+g)^z X + delta.
+    """
     layout = config.layout
-    v = np.empty(layout.n_units)
+    n = layout.n_units
+    g = config.gamma
+    v = np.empty(n)
     for j, pos in enumerate(layout.stratum_positions()):
         v[pos] = draw_latent(config.latent, j, pos.size, stream)
-    return v
-
-
-def _eps_dist(config: ScenarioConfig) -> str:
-    # The covariate's own error stays standard normal in the heteroskedastic
-    # scenario; only the outcome error delta picks up the |x|-dependent scale.
-    if config.error_dist == "heteroskedastic_normal":
-        return "normal"
-    return config.error_dist
-
-
-def generate_continuous_population(
-    config: ScenarioConfig, stream: np.random.Generator
-) -> Population:
-    """Constant-additive-effect family.
-
-    X = (-g e^v + e^{v/2})/2 + eps and Y(z) = ((2z-1) g e^v + e^{v/2})/2 +
-    delta, so Y(z) = g e^v z + X + (delta - eps): a unit's effect is g e^v
-    and the baseline enters with coefficient one.  eps and delta both follow
-    ``config.error_dist``, except that under ``heteroskedastic_normal`` eps
-    stays N(0, 1) and only delta's sd depends on |x|.
-    """
-    layout = config.layout
-    n = layout.n_units
-    g = config.gamma
-    v = _draw_v(config, stream)
-    eps = draw_error(_eps_dist(config), n, stream)
-    ev = np.exp(v)
-    half = np.exp(v / 2.0)
-    x = 0.5 * (-g * ev + half) + eps
+    heteroskedastic = config.error_dist == "heteroskedastic_normal"
+    eps = draw_error("normal" if heteroskedastic else config.error_dist, n, stream)
+    ev, half = np.exp(v), np.exp(v / 2.0)
+    # X - eps; in the continuous family also Y(0) - delta.
+    base = 0.5 * (ev + half) if config.family == "nonlinear" else 0.5 * (-g * ev + half)
+    x = base + eps
     delta = draw_error(config.error_dist, n, stream, x=x)
-    y0 = 0.5 * (-g * ev + half) + delta
-    y1 = 0.5 * (g * ev + half) + delta
+    if config.family == "nonlinear":
+        y0, y1 = x + delta, (1.0 + g) * x + delta
+    else:
+        y0, y1 = base + delta, 0.5 * (g * ev + half) + delta
+    if config.family == "discrete":
+        x, y0, y1 = np.trunc(x), np.trunc(y0), np.trunc(y1)
     return Population(
         strata=layout.codes.copy(), v=v, eps=eps, delta=delta, x=x, y0=y0, y1=y1
     )
-
-
-def generate_discrete_population(
-    config: ScenarioConfig, stream: np.random.Generator
-) -> Population:
-    """Continuous family with the fractional parts removed afterwards, by
-    truncation toward zero."""
-    base = generate_continuous_population(config, stream)
-    return dataclasses.replace(
-        base, x=np.trunc(base.x), y0=np.trunc(base.y0), y1=np.trunc(base.y1)
-    )
-
-
-def generate_nonlinear_population(
-    config: ScenarioConfig, stream: np.random.Generator
-) -> Population:
-    """Multiplicative-effect family: Y(z) = (1+g)^z X + delta.
-
-    X = (e^v + e^{v/2})/2 + eps.  eps and delta both follow
-    ``config.error_dist``, except that under ``heteroskedastic_normal`` eps
-    stays N(0, 1) and only delta's sd depends on |x|.
-    """
-    layout = config.layout
-    n = layout.n_units
-    g = config.gamma
-    v = _draw_v(config, stream)
-    eps = draw_error(_eps_dist(config), n, stream)
-    x = 0.5 * (np.exp(v) + np.exp(v / 2.0)) + eps
-    delta = draw_error(config.error_dist, n, stream, x=x)
-    y0 = x + delta
-    y1 = (1.0 + g) * x + delta
-    return Population(
-        strata=layout.codes.copy(), v=v, eps=eps, delta=delta, x=x, y0=y0, y1=y1
-    )
-
-
-_GENERATORS = {
-    "continuous": generate_continuous_population,
-    "discrete": generate_discrete_population,
-    "nonlinear": generate_nonlinear_population,
-}
-
-
-def generate_population(config: ScenarioConfig, stream: np.random.Generator) -> Population:
-    return _GENERATORS[config.family](config, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +424,8 @@ def load_scenario(path) -> ScenarioConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}:{err.lineno}: {err.msg}") from err
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from err
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a JSON object")
     unknown = sorted(set(raw) - set(_SCENARIO_KEYS))

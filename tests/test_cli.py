@@ -136,6 +136,15 @@ def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_names_an_unwritable_report_by_its_path(trial_csv, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["analyze", "--input", str(trial_csv), "--permutations", "99",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{out}'" in err and ".tmp" not in err
+
+
 def test_analyze_rejects_empty_and_repeated_subject_ids(tmp_path, capsys):
     # P1 appears once in each arm and one row has no subject: nine rows, but
     # not nine subjects.
@@ -278,9 +287,9 @@ def test_analyze_constant_stratum_baseline_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def _flat_csv(tmp_path, constant, name="gerd"):
+def _flat_csv(tmp_path, constant, name="gerd", scale=1.0):
     """A 12-subject trial whose outcome is constant everywhere, in stratum
-    'a' alone, or nowhere."""
+    'a' alone, or nowhere; baseline and outcome are multiplied by ``scale``."""
     rng = np.random.default_rng(12)
     strata = np.repeat(["a", "b"], 6)
     z = np.tile([1, 0], 6).astype(np.int8)
@@ -289,7 +298,7 @@ def _flat_csv(tmp_path, constant, name="gerd"):
     if constant:
         y = np.where(strata == "a", 2.0, y) if constant == "stratum" else np.full(12, 2.0)
     path = tmp_path / "flat.csv"
-    write_trial_csv(TrialDataset.build(strata, z, {name: x}, {name: y}), path)
+    write_trial_csv(TrialDataset.build(strata, z, {name: x * scale}, {name: y * scale}), path)
     return path
 
 
@@ -326,17 +335,19 @@ def _column_ends(text, header, column):
     return [list(re.finditer(r"\S+", line))[column].end() for line in table]
 
 
-@pytest.mark.parametrize("argv,column", [
-    (["analyze"], 3),
-    (["analyze", "--methods", "manly"], 3),
-    (["diagnose"], 2),
-], ids=["analyze", "manly", "diagnose"])
-def test_tables_stay_aligned_under_a_wider_header(tmp_path, capsys, argv, column):
+@pytest.mark.parametrize("argv,column,scale,lines", [
+    (["analyze"], 3, 1.0, 5),
+    (["analyze", "--methods", "manly"], 3, 1.0, 2),
+    # A difference in means of about 2e7, wider than the statistic header.
+    (["analyze", "--methods", "stratified_diff_means,ancova"], 3, 1e8, 3),
+    (["diagnose"], 2, 1.0, 2),
+], ids=["analyze", "manly", "scaled", "diagnose"])
+def test_tables_stay_aligned_under_a_wider_header(tmp_path, capsys, argv, column, scale, lines):
     # Endpoint 'a' and method 'manly' are narrower than their headers.
-    path = _flat_csv(tmp_path, None, name="a")
+    path = _flat_csv(tmp_path, None, name="a", scale=scale)
     assert main([*argv, "--input", str(path), "--permutations", "99"]) == 0
     ends = _column_ends(capsys.readouterr().out, "endpoint", column)
-    assert len(ends) == (2 if argv[1:] or argv[0] == "diagnose" else 5)
+    assert len(ends) == lines
     assert len(set(ends)) == 1
 
 
@@ -383,6 +394,21 @@ def test_simulate_bad_second_scenario_writes_nothing(tmp_path):
     )
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json"])
+def test_simulate_checks_the_output_directories_before_running(tmp_path, capsys,
+                                                               monkeypatch, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran before its outputs were checked")
+
+    monkeypatch.setattr("stratperm.cli.run_power_study", never)
+    paths = {"--out": tmp_path / "power.csv", "--json": tmp_path / "power.json"}
+    paths[flag] = tmp_path / "nodir" / "o.csv"
+    code = main(["simulate", "--scenario", str(scenario_file(tmp_path)),
+                 *itertools.chain(*((k, str(v)) for k, v in paths.items()))])
+    assert code == 2
+    assert f"'{paths[flag]}'" in capsys.readouterr().err
 
 
 def test_simulate_rejects_a_test_named_twice(tmp_path, capsys):

@@ -104,6 +104,31 @@ def test_package_defines_no_unreferenced_name():
     assert _unreferenced({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
+def _undocumented(source: str) -> list:
+    """The functions and classes that ``source`` defines and names in its
+    ``__all__`` but gives no docstring."""
+    tree = ast.parse(source)
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in exported and ast.get_docstring(node) is None]
+
+
+def test_the_docstring_check_finds_an_undocumented_name():
+    source = ('__all__ = ["f", "C", "D"]\ndef f():\n    "Doc."\n'
+              'class C:\n    x = 1\nclass D:\n    "Doc."\ndef g(): pass')
+    assert _undocumented(source) == ["C"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_function_and_class_has_a_docstring(path):
+    assert _undocumented(path.read_text()) == []
+
+
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 

@@ -23,9 +23,6 @@ from stratperm.simulation import (
     ScenarioConfig,
     draw_error,
     draw_latent,
-    generate_continuous_population,
-    generate_discrete_population,
-    generate_nonlinear_population,
     generate_population,
     load_scenario,
     power_ratio_table,
@@ -120,7 +117,7 @@ def test_heteroskedastic_error_requires_covariate():
 
 def test_continuous_population_satisfies_linear_identity():
     cfg = config(gamma=0.17)
-    pop = generate_continuous_population(cfg, derive_stream(11))
+    pop = generate_population(cfg, derive_stream(11))
     effect = cfg.gamma * np.exp(pop.v)
     shared = pop.delta - pop.eps
     np.testing.assert_allclose(pop.y0, pop.x + shared, atol=1e-12)
@@ -129,32 +126,35 @@ def test_continuous_population_satisfies_linear_identity():
 
 
 def test_continuous_sharp_null_at_gamma_zero():
-    pop = generate_continuous_population(config(gamma=0.0), derive_stream(12))
+    pop = generate_population(config(gamma=0.0), derive_stream(12))
     np.testing.assert_array_equal(pop.y0, pop.y1)
 
 
 def test_discrete_population_truncates_toward_zero():
     cfg = config(family="discrete", gamma=0.2)
-    pop = generate_discrete_population(cfg, derive_stream(13))
+    pop = generate_population(cfg, derive_stream(13))
     for arr in (pop.x, pop.y0, pop.y1):
         np.testing.assert_array_equal(arr, np.trunc(arr))
-    continuous = generate_continuous_population(cfg, derive_stream(13))
+    # The same stream under the continuous family: the discrete population is
+    # that population with its fractional parts cut off.
+    continuous = generate_population(
+        dataclasses.replace(cfg, family="continuous"), derive_stream(13))
+    assert not np.array_equal(continuous.x, np.trunc(continuous.x))
     np.testing.assert_array_equal(pop.x, np.trunc(continuous.x))
     np.testing.assert_array_equal(pop.y0, np.trunc(continuous.y0))
+    np.testing.assert_array_equal(pop.y1, np.trunc(continuous.y1))
     # negative values are truncated up, not floored down
     assert (continuous.y0 < 0).any()
 
 
 def test_discrete_sharp_null_survives_truncation():
-    pop = generate_discrete_population(
-        config(family="discrete", gamma=0.0), derive_stream(14)
-    )
+    pop = generate_population(config(family="discrete", gamma=0.0), derive_stream(14))
     np.testing.assert_array_equal(pop.y0, pop.y1)
 
 
 def test_nonlinear_population_effect_is_multiplicative():
     cfg = config(family="nonlinear", gamma=0.2)
-    pop = generate_nonlinear_population(cfg, derive_stream(15))
+    pop = generate_population(cfg, derive_stream(15))
     np.testing.assert_allclose(pop.y1 - pop.y0, cfg.gamma * pop.x, atol=1e-12)
     np.testing.assert_allclose(
         pop.y1, (1.0 + cfg.gamma) * pop.x + pop.delta, atol=1e-12
@@ -162,17 +162,39 @@ def test_nonlinear_population_effect_is_multiplicative():
 
 
 def test_generate_population_dispatches_by_family():
-    for family in ("continuous", "discrete", "nonlinear"):
-        pop = generate_population(config(family=family), derive_stream(16))
+    pops = {family: generate_population(config(family=family), derive_stream(16))
+            for family in FAMILIES}
+    # The families share every draw; they differ in how X, Y(0), Y(1) are formed.
+    for pop in pops.values():
         assert isinstance(pop, Population)
         assert pop.x.shape == (48,)
+        for name in ("v", "eps", "delta"):
+            np.testing.assert_array_equal(getattr(pop, name), getattr(pops["continuous"], name))
+    assert not np.array_equal(pops["nonlinear"].x, pops["continuous"].x)
+
+
+@pytest.mark.parametrize("latent", LATENTS)
+def test_continuous_population_matches_the_independent_reference(latent, monkeypatch):
+    # The reference sets a BLAS thread count for its own worker processes;
+    # keep it out of the environment of later tests.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    from reference.make_power_reference import ROWS, _population
+
+    laws = [law for row_latent, law in ROWS if row_latent == latent]
+    assert len(laws) == 5
+    for law, seed in itertools.product(laws, range(5)):
+        cfg = config(latent=latent, error_dist=law, gamma=0.2)
+        pop = generate_population(cfg, np.random.default_rng([seed, 7]))
+        x, y0, y1 = _population(latent, law, np.random.default_rng([seed, 7]))
+        for ours, theirs in ((pop.x, x), (pop.y0, y0), (pop.y1, y1)):
+            assert ours.tobytes() == theirs.tobytes()
 
 
 def test_sample_ate_calibration_smoke():
     # E[gamma e^v] = gamma (e^4 - e^-4) / 8 = 1.3645 at gamma = 0.2
     cfg = config(gamma=0.2)
     ates = [
-        generate_continuous_population(cfg, derive_stream(17, i)).sample_ate
+        generate_population(cfg, derive_stream(17, i)).sample_ate
         for i in range(400)
     ]
     assert np.mean(ates) == pytest.approx(0.2 * (math.exp(4) - math.exp(-4)) / 8,
@@ -530,6 +552,13 @@ def test_load_scenario_reports_json_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "id": "x",\n  "family": oops\n}\n')
     with pytest.raises(ValueError, match="broken.json:3"):
+        load_scenario(path)
+
+
+def test_load_scenario_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'\xff{"id": "x"}')
+    with pytest.raises(ValueError, match=r"latin\.json: 'utf-8' codec can't decode byte 0xff"):
         load_scenario(path)
 
 
